@@ -16,7 +16,7 @@ layer the columnar rewrite targets:
   ``witnesses_closer_than`` (materializing the in-range witnesses) and
   ``nearest`` (best-first over whole-cell slices).
 
-Early-exit probes (``stop_at``, ``first_closer_than``) are deliberately
+Early-exit probes (``count_closer_than(stop_at=...)``) are deliberately
 absent: they walk rows one by one on both backends (see
 ``GridSearch.count_closer_than``), so they measure traversal, not
 layout.  The grid is coarse for the population (~100 rows per cell) so

@@ -54,7 +54,6 @@ class BaselineSearch(GridSearch):
     nearest = GridSearch.nearest.__wrapped__
     k_nearest = GridSearch.k_nearest.__wrapped__
     count_closer_than = GridSearch.count_closer_than.__wrapped__
-    first_closer_than = GridSearch.first_closer_than.__wrapped__
     objects_within = GridSearch.objects_within.__wrapped__
     region_objects_by_distance = GridSearch.region_objects_by_distance.__wrapped__
 

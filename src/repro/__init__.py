@@ -32,7 +32,7 @@ import logging as _logging
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from repro import obs
-from repro.core import BiIGERN, MonoIGERN, SharedVerificationCache
+from repro.core import BiIGERN, MonoIGERN
 from repro.engine import (
     AnswerChange,
     ContinuousQueryManager,
@@ -78,7 +78,6 @@ __all__ = [
     # core algorithms
     "MonoIGERN",
     "BiIGERN",
-    "SharedVerificationCache",
     # geometry / index substrates
     "Point",
     "Rect",

@@ -16,14 +16,12 @@ the prior state of the art:
 """
 
 from repro.core.mono import MonoIGERN
-from repro.core.shared import SharedVerificationCache
 from repro.core.bi import BiIGERN
 from repro.core.state import BiState, MonoState, StepReport
 
 __all__ = [
     "MonoIGERN",
     "BiIGERN",
-    "SharedVerificationCache",
     "MonoState",
     "BiState",
     "StepReport",

@@ -74,16 +74,11 @@ class MonoIGERN:
     search:
         An existing :class:`GridSearch` to share operation counters with;
         a private one is created by default.
-    shared_cache:
-        Optional :class:`repro.core.shared.SharedVerificationCache` for
-        co-located queries to share their verification searches (k = 1
-        only; larger k falls back to private searches).
     shared_context:
         Optional per-tick :class:`repro.grid.context.SharedTickContext`
         (normally bound by the batch executor).  Verification probes then
         run through the tick-wide witness memo — answers stay bit-identical
-        to the cold path; only redundant searches are skipped.  Takes
-        precedence over ``shared_cache`` when both are set.
+        to the cold path; only redundant searches are skipped.
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class MonoIGERN:
         k: int = 1,
         prune: "str | bool" = "guarded",
         search: Optional[GridSearch] = None,
-        shared_cache=None,
         shared_context=None,
         metric=None,
     ):
@@ -109,7 +103,6 @@ class MonoIGERN:
         self.k = k
         self.prune = normalize_prune_mode(prune)
         self.search = search if search is not None else GridSearch(grid)
-        self.shared_cache = shared_cache
         self.shared_context = shared_context
         #: Active :class:`repro.obs.ledger.QueryTickCost` (bound by the
         #: engine per evaluation) — ``None`` keeps phase timing off.
@@ -339,15 +332,10 @@ class MonoIGERN:
         answer: Set[ObjectId] = set()
         exclude_base = {self.query_id} if self.query_id is not None else set()
         ctx = self.shared_context
-        cache = self.shared_cache if self.k == 1 and ctx is None else None
         for oid, pos in state.candidates.items():
             # Squared-space comparison: an exactly equidistant witness must
             # not disqualify the candidate (the paper's strict inequality).
             dq2 = dist_sq(pos, q)
-            if cache is not None:
-                if not cache.has_witness(oid, dq2, self.query_id, qpos=q):
-                    answer.add(oid)
-                continue
             if ctx is not None:
                 # Tick-shared probe: same min(k, count) semantics as the
                 # cold call below, with witnesses banked for other queries

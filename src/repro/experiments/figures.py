@@ -35,7 +35,6 @@ from repro.analysis.cost_model import (
     voronoi_cost,
 )
 from repro.analysis.stats import mean, running_sum
-from repro.core.shared import SharedVerificationCache
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.experiments.harness import ExperimentResult, scaled
 from repro.queries import (
@@ -563,54 +562,45 @@ def query_count(
 
     The engine shares the grid index and the update stream across all
     registered queries; total per-tick cost grows linearly in the number
-    of queries, with IGERN's slope well below CRNN's.  Queries cluster
-    around the map center (a hotspot, the realistic many-query setting),
-    which also lets the third series — IGERN with a shared verification
-    cache (:class:`repro.core.shared.SharedVerificationCache`) — show the
-    cross-query saving when candidate sets overlap.
+    of queries, with IGERN's slope about half of CRNN's.  Queries cluster
+    around the map center (a hotspot, the realistic many-query setting).
+    Every count replays the same workload through two simulators: one
+    with shared-execution batching off (series ``IGERN`` and ``CRNN``)
+    and one with it on (``IGERN-batched``, whose co-evaluated queries
+    share one :class:`repro.grid.context.SharedTickContext` per tick).
+    Each query is registered once per simulator, and ``batch`` is passed
+    explicitly so the CLI's ``--no-batch`` default cannot merge the two
+    IGERN series.
     """
     counts = [1, 2, 5, 10, 20]
     n_objects = scaled(4000, scale)
     n_ticks = scaled(10, scale, minimum=5)
+    spec = WorkloadSpec(n_objects=n_objects, grid_size=_DEF_GRID, seed=seed)
+    runs = (
+        (False, {"IGERN": IGERNMonoQuery, "CRNN": CRNNQuery}),
+        (True, {"IGERN-batched": IGERNMonoQuery}),
+    )
 
-    igern_total: List[float] = []
-    shared_total: List[float] = []
-    crnn_total: List[float] = []
+    totals: Dict[str, List[float]] = {"IGERN": [], "IGERN-batched": [], "CRNN": []}
     for count in counts:
-        sim, _ = _mono_sim(n_objects, _DEF_GRID, seed)
-        center = sim.grid.extent.center
-        ids = sorted(
-            sim.grid.objects(),
-            key=lambda oid: sim.grid.position(oid).distance_to(center),
-        )[:count]
-        cache = SharedVerificationCache(sim.grid)
-        for oid in ids:
-            sim.add_query(
-                f"igern-{oid}",
-                IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, query_id=oid)),
-            )
-            sim.add_query(
-                f"shared-{oid}",
-                IGERNMonoQuery(
-                    sim.grid,
-                    QueryPosition(sim.grid, query_id=oid),
-                    shared_cache=cache,
-                ),
-            )
-            sim.add_query(
-                f"crnn-{oid}",
-                CRNNQuery(sim.grid, QueryPosition(sim.grid, query_id=oid)),
-            )
-        result = sim.run(n_ticks)
-        igern_total.append(
-            sum(result[f"igern-{oid}"].avg_incremental_time for oid in ids)
-        )
-        shared_total.append(
-            sum(result[f"shared-{oid}"].avg_incremental_time for oid in ids)
-        )
-        crnn_total.append(
-            sum(result[f"crnn-{oid}"].avg_incremental_time for oid in ids)
-        )
+        for batch, series in runs:
+            sim = build_simulator(spec, batch=batch)
+            center = sim.grid.extent.center
+            ids = sorted(
+                sim.grid.objects(),
+                key=lambda oid: sim.grid.position(oid).distance_to(center),
+            )[:count]
+            for oid in ids:
+                for name, query_cls in series.items():
+                    sim.add_query(
+                        f"{name}-{oid}",
+                        query_cls(sim.grid, QueryPosition(sim.grid, query_id=oid)),
+                    )
+            result = sim.run(n_ticks)
+            for name in series:
+                totals[name].append(
+                    sum(result[f"{name}-{oid}"].avg_incremental_time for oid in ids)
+                )
 
     result = ExperimentResult(
         exp_id="query-count",
@@ -620,9 +610,8 @@ def query_count(
         x=[float(c) for c in counts],
         notes=f"{n_objects} objects, grid {_DEF_GRID}, hotspot queries",
     )
-    result.add_series("IGERN", igern_total)
-    result.add_series("IGERN-shared", shared_total)
-    result.add_series("CRNN", crnn_total)
+    for name, y in totals.items():
+        result.add_series(name, y)
     return result
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
+import numpy as _np
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.grid.cell import CellKey, cell_key_of, cell_rect_of
@@ -36,11 +38,6 @@ ObjectId = Hashable
 #: array staging than it saves; the scalar loop handles small ticks.
 #: Measured crossover sits between 30 and 64 movers on a 2k-object grid.
 _BULK_MOVE_MIN = 48
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 
 class GridIndex:

@@ -44,17 +44,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.geometry import predicates
 from repro.grid.alive import AliveCellGrid
 from repro.grid.cell import CellKey, cell_key_of
 from repro.grid.index import Category, GridIndex, ObjectId
 from repro.grid.store import STATS as STORE_STATS
 from repro.obs.trace import Tracer, get_tracer
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - scalar loops cover everything
-    _np = None
 
 CellFilter = Callable[[CellKey], bool]
 ObjectFilter = Callable[[ObjectId, "PointLike"], bool]
@@ -223,15 +220,11 @@ class GridSearch:
         # None (the default), every path below is byte-for-byte the
         # pre-batching behavior.
         self.shared_context = None
-        # The columnar store when it can serve vectorized cell slices;
-        # None routes every kernel through the original scalar loops
-        # (mapping backend, or numpy unavailable).
+        # The columnar store, whose cells the kernels scan as vectorized
+        # slices; None routes every kernel through the original scalar
+        # loops (the mapping backend).
         store = getattr(grid, "_store", None)
-        self._col = (
-            store
-            if (store is not None and getattr(store, "vectorized", False) and _np is not None)
-            else None
-        )
+        self._col = store if getattr(store, "vectorized", False) else None
         # Cached cell geometry for the heap priority computation.
         extent = grid.extent
         self._xmin = extent.xmin
@@ -857,124 +850,6 @@ class GridSearch:
                         heapq.heappush(heap, (nd2, nkey))
         predicates.STATS.filter_hits += fast_hits
         return out
-
-    @_traced("grid.search.first_closer_than")
-    def first_closer_than(
-        self,
-        center: Iterable[float],
-        threshold_sq: float,
-        exclude: Iterable[ObjectId] = (),
-        category: Optional[Category] = None,
-        kind: SearchKind = SearchKind.UNCONSTRAINED,
-        threshold_point: Optional[PointLike] = None,
-    ) -> Optional[Tuple[ObjectId, float]]:
-        """Some object strictly closer than ``sqrt(threshold_sq)``, if any.
-
-        The witness-returning sibling of :meth:`count_closer_than` with
-        ``stop_at=1``: same cost, but the caller learns *who* the witness
-        is — which the shared verification cache reuses across queries.
-        Returns ``(oid, squared_distance)`` or ``None``.
-        ``threshold_point`` switches on the exact adaptive comparison.
-        """
-        cx, cy = center
-        excluded = _as_excluded(exclude)
-        grid = self.grid
-        n = grid.size
-        stats = self.stats
-        stats.calls[kind] += 1
-        stats.witness_probes += 1
-
-        exact = threshold_point is not None
-        if exact:
-            t2_lo, t2_hi = predicates.d2_band(threshold_sq)
-            t2_prune = predicates.prune_bound(threshold_sq, self._coord_scale)
-        else:
-            t2_prune = threshold_sq
-        fast_hits = 0
-        start = cell_key_of(grid.extent, n, (cx, cy))
-        heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
-        seen: Set[CellKey] = {start}
-        positions = grid._positions
-
-        col = self._col
-
-        while heap:
-            d2, key = heapq.heappop(heap)
-            if d2 >= t2_prune:
-                break
-            stats.cells_visited[kind] += 1
-            if col is not None:
-                # An any-witness probe short-circuits on the first hit —
-                # always row-by-row, never whole-slice (see
-                # count_closer_than on the early-exit economics).
-                for bucket in col.cell_buckets(key, category):
-                    brows = bucket.rows
-                    oids = col.oids
-                    xs = col.xs
-                    ys = col.ys
-                    for bi in range(bucket.n):
-                        r = brows[bi]
-                        oid = oids[r]
-                        if oid in excluded:
-                            continue
-                        stats.objects_examined[kind] += 1
-                        STORE_STATS.rows_scanned += 1
-                        dx = xs[r] - cx
-                        dy = ys[r] - cy
-                        od2 = dx * dx + dy * dy
-                        if exact:
-                            if od2 < t2_lo:
-                                closer = True
-                                fast_hits += 1
-                            elif od2 > t2_hi:
-                                closer = False
-                                fast_hits += 1
-                            else:
-                                closer = predicates.closer_than(
-                                    center,
-                                    (float(xs[r]), float(ys[r])),
-                                    threshold_point,
-                                )
-                        else:
-                            closer = od2 < threshold_sq
-                        if closer:
-                            predicates.STATS.filter_hits += fast_hits
-                            return (oid, float(od2))
-            else:
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    od2 = dx * dx + dy * dy
-                    if exact:
-                        if od2 < t2_lo:
-                            closer = True
-                            fast_hits += 1
-                        elif od2 > t2_hi:
-                            closer = False
-                            fast_hits += 1
-                        else:
-                            closer = predicates.closer_than(
-                                center, (p.x, p.y), threshold_point
-                            )
-                    else:
-                        closer = od2 < threshold_sq
-                    if closer:
-                        predicates.STATS.filter_hits += fast_hits
-                        return (oid, od2)
-            ix, iy = key
-            for sx, sy in _NEIGHBOR_STEPS:
-                nkey = (ix + sx, iy + sy)
-                if 0 <= nkey[0] < n and 0 <= nkey[1] < n and nkey not in seen:
-                    seen.add(nkey)
-                    nd2 = self._cell_d2(nkey, cx, cy)
-                    if nd2 < t2_prune:
-                        heapq.heappush(heap, (nd2, nkey))
-        predicates.STATS.filter_hits += fast_hits
-        return None
 
     def iter_nearest(
         self,

@@ -6,13 +6,13 @@ Two layouts implement the same storage contract:
   Point``, ``cell -> category -> set``).  Object-at-a-time, allocation
   heavy, but with zero per-row indirection; still preferable for tiny
   populations and as the differential-testing reference.
-- :class:`ColumnarStore` — a struct-of-arrays layout: parallel coordinate
-  columns (numpy ``float64`` when available, ``array('d')`` otherwise),
-  integer cell-coordinate columns, and a per-(cell, category) row index
-  of growable integer row lists (a CSR-style bucket index maintained
-  incrementally on every insert/remove/move).  Rows are recycled through
-  a free list; when churn leaves too many holes the store compacts the
-  columns in one pass so whole-cell slices stay dense.
+- :class:`ColumnarStore` — a struct-of-arrays layout: parallel ``float64``
+  coordinate columns, integer cell-coordinate columns, and a
+  per-(cell, category) row index of growable ``int64`` row lists (a
+  CSR-style bucket index maintained incrementally on every
+  insert/remove/move).  Rows are recycled through a free list; when
+  churn leaves too many holes the store compacts the columns in one pass
+  so whole-cell slices stay dense.
 
 The columnar layout is what the vectorized cell kernels in
 :mod:`repro.grid.search` and :mod:`repro.grid.alive` slice: a cell scan
@@ -38,12 +38,9 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.geometry.point import Point
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except Exception:  # pragma: no cover - the array('d') seam
-    _np = None
+from repro.geometry.point import Point
 
 CellKey = Tuple[int, int]
 Category = Hashable
@@ -89,8 +86,8 @@ class StoreStats:
 STATS = StoreStats()
 
 
-class _RowListNp:
-    """Growable ``int64`` row vector with O(1) swap-remove (numpy)."""
+class _RowList:
+    """Growable ``int64`` row vector with O(1) swap-remove."""
 
     __slots__ = ("rows", "n")
 
@@ -122,34 +119,6 @@ class _RowListNp:
 
     def view(self):
         return self.rows[: self.n]
-
-
-class _RowListPy:
-    """The same contract over a plain list (no-numpy seam)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: List[int] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def append(self, row: int) -> int:
-        self.rows.append(row)
-        return len(self.rows) - 1
-
-    def swap_remove(self, slot: int) -> int:
-        rows = self.rows
-        last = rows.pop()
-        if slot != len(rows):
-            rows[slot] = last
-            return last
-        return -1
-
-    def view(self):
-        return self.rows
 
 
 class _PositionsView:
@@ -331,13 +300,13 @@ class ColumnarStore:
         access yields native Python floats (indexing a numpy array
         returns ``np.float64`` scalars whose arithmetic is several times
         slower, which the row-by-row kernel paths would pay on every
-        object).  When numpy is available, ``xs_np``/``ys_np`` are
-        zero-copy writable views over the same buffers for the sliced
-        kernel paths and bulk moves; the views are rebuilt whenever the
-        buffers reallocate (growth and compaction — nowhere else).
+        object).  ``xs_np``/``ys_np`` are zero-copy writable numpy views
+        over the same buffers for the sliced kernel paths and bulk
+        moves; the views are rebuilt whenever the buffers reallocate
+        (growth and compaction — nowhere else).
     ``cix, ciy``
         int cell coordinates of the row's current cell (``array('q')``,
-        with ``cix_np``/``ciy_np`` views under numpy).
+        with ``cix_np``/``ciy_np`` views).
     ``oids``
         row -> object id (``None`` for free rows).
     ``slots``
@@ -351,21 +320,15 @@ class ColumnarStore:
     """
 
     kind = "columnar"
+    vectorized = True
 
-    def __init__(self, vector: Optional[bool] = None):
-        #: Whether the numpy fast paths (bulk moves, sliced kernels) run.
-        self.vectorized = (_np is not None) if vector is None else (
-            vector and _np is not None
-        )
+    def __init__(self) -> None:
         cap = 16
         self.xs = array("d", bytes(8 * cap))
         self.ys = array("d", bytes(8 * cap))
         self.cix = array("q", bytes(8 * cap))
         self.ciy = array("q", bytes(8 * cap))
-        self._rowlist = _RowListNp if self.vectorized else _RowListPy
-        self.xs_np = self.ys_np = self.cix_np = self.ciy_np = None
-        if self.vectorized:
-            self._refresh_views()
+        self._refresh_views()
         self.oids: List[Optional[ObjectId]] = []
         self.slots: List[int] = []
         self.row_of: Dict[ObjectId, int] = {}
@@ -392,17 +355,15 @@ class ColumnarStore:
 
     def _grow(self) -> None:
         cap = self._capacity()
-        if self.vectorized:
-            # Release the buffer exports: an array cannot resize while
-            # numpy views reference it.  Gathered slices are copies, so
-            # no kernel holds the raw buffers across a mutation.
-            self.xs_np = self.ys_np = self.cix_np = self.ciy_np = None
+        # Release the buffer exports: an array cannot resize while numpy
+        # views reference it.  Gathered slices are copies, so no kernel
+        # holds the raw buffers across a mutation.
+        self.xs_np = self.ys_np = self.cix_np = self.ciy_np = None
         self.xs.extend(array("d", bytes(8 * cap)))
         self.ys.extend(array("d", bytes(8 * cap)))
         self.cix.extend(array("q", bytes(8 * cap)))
         self.ciy.extend(array("q", bytes(8 * cap)))
-        if self.vectorized:
-            self._refresh_views()
+        self._refresh_views()
 
     def _alloc_row(self) -> int:
         free = self.free
@@ -422,7 +383,7 @@ class ColumnarStore:
             cell = self.buckets[key] = {}
         bucket = cell.get(category)
         if bucket is None:
-            bucket = cell[category] = self._rowlist()
+            bucket = cell[category] = _RowList()
         self.slots[row] = bucket.append(row)
 
     def _bucket_remove(self, key: CellKey, category: Category, row: int) -> None:
@@ -491,8 +452,6 @@ class ColumnarStore:
         (duplicate movers — their sequential last-wins semantics do not
         vectorize).  Raises ``KeyError`` on an unknown id, exactly like
         the scalar path."""
-        if not self.vectorized:
-            return None
         np = _np
         row_of = self.row_of
         n = len(oids)
@@ -553,35 +512,20 @@ class ColumnarStore:
         layout moves."""
         live = len(self.row_of)
         cap = max(16, live)
-        old_xs, old_ys, old_cix, old_ciy = self.xs, self.ys, self.cix, self.ciy
-        remap: Dict[int, int] = {}
-        oids: List[Optional[ObjectId]] = []
+        old_views = (self.xs_np, self.ys_np, self.cix_np, self.ciy_np)
+        old_rows = _np.fromiter(self.row_of.values(), dtype=_np.int64, count=live)
         self.xs = array("d", bytes(8 * cap))
         self.ys = array("d", bytes(8 * cap))
         self.cix = array("q", bytes(8 * cap))
         self.ciy = array("q", bytes(8 * cap))
-        if self.vectorized:
-            np = _np
-            old_views = (self.xs_np, self.ys_np, self.cix_np, self.ciy_np)
-            old_rows = np.fromiter(self.row_of.values(), dtype=np.int64, count=live)
-            self._refresh_views()
-            self.xs_np[:live] = old_views[0][old_rows]
-            self.ys_np[:live] = old_views[1][old_rows]
-            self.cix_np[:live] = old_views[2][old_rows]
-            self.ciy_np[:live] = old_views[3][old_rows]
-            for new_row, oid in enumerate(self.row_of):
-                remap[int(old_rows[new_row])] = new_row
-                oids.append(oid)
-        else:
-            for new_row, (oid, old_row) in enumerate(self.row_of.items()):
-                self.xs[new_row] = old_xs[old_row]
-                self.ys[new_row] = old_ys[old_row]
-                self.cix[new_row] = old_cix[old_row]
-                self.ciy[new_row] = old_ciy[old_row]
-                remap[old_row] = new_row
-                oids.append(oid)
-        self.oids = oids
-        self.row_of = {oid: row for row, oid in enumerate(oids)}
+        self._refresh_views()
+        self.xs_np[:live] = old_views[0][old_rows]
+        self.ys_np[:live] = old_views[1][old_rows]
+        self.cix_np[:live] = old_views[2][old_rows]
+        self.ciy_np[:live] = old_views[3][old_rows]
+        remap = dict(zip(old_rows.tolist(), range(live)))
+        self.oids = list(self.row_of)
+        self.row_of = {oid: row for row, oid in enumerate(self.oids)}
         self.slots = [0] * live
         for cell in self.buckets.values():
             for bucket in cell.values():
@@ -631,7 +575,7 @@ class ColumnarStore:
         for bucket in self.cell_buckets(key, category):
             # One bulk int conversion beats per-element numpy extraction
             # even for callers that stop early.
-            for row in bucket.view().tolist() if self.vectorized else bucket.view():
+            for row in bucket.view().tolist():
                 yield oids[row]
 
     def cell_population(self, key: CellKey, category: Optional[Category] = None) -> int:
@@ -705,17 +649,12 @@ class ColumnarStore:
 def make_store(kind: str):
     """Store factory behind ``GridIndex(store=...)``.
 
-    ``"columnar"`` (default) — struct-of-arrays with vectorized kernels
-    when numpy is importable; ``"mapping"`` — the dict-backed reference
-    layout; ``"columnar-scalar"`` — the columnar layout with vectorization
-    forced off (exercises the ``array('d')``-style scalar seam)."""
+    ``"columnar"`` (default) — struct-of-arrays with vectorized kernels;
+    ``"mapping"`` — the dict-backed reference layout."""
     if kind == "columnar":
         return ColumnarStore()
-    if kind == "columnar-scalar":
-        return ColumnarStore(vector=False)
     if kind == "mapping":
         return MappingStore()
     raise ValueError(
-        f"unknown store kind {kind!r} (expected 'columnar', 'mapping'"
-        " or 'columnar-scalar')"
+        f"unknown store kind {kind!r} (expected 'columnar' or 'mapping')"
     )

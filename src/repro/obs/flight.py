@@ -261,9 +261,11 @@ class FlightRecorder:
             ],
             "ticks": [
                 {
-                    "moves": [[oid, p.x, p.y] for oid, p in moves],
+                    # Positions unpack as sequences: generators may hand
+                    # the simulator plain (x, y) tuples as well as Points.
+                    "moves": [[oid, x, y] for oid, (x, y) in moves],
                     "inserts": [
-                        [oid, p.x, p.y, cat] for oid, p, cat in inserts
+                        [oid, x, y, cat] for oid, (x, y), cat in inserts
                     ],
                     "removes": list(removes),
                 }

@@ -37,7 +37,6 @@ class IGERNMonoQuery(ContinuousQuery):
         position: QueryPosition,
         k: int = 1,
         prune: "str | bool" = "guarded",
-        shared_cache=None,
         metric: Optional[Metric] = None,
     ):
         super().__init__(grid, position)
@@ -50,7 +49,6 @@ class IGERNMonoQuery(ContinuousQuery):
                 k=k,
                 prune=prune,
                 search=self.search,
-                shared_cache=shared_cache,
                 metric=metric,
             )
         else:

@@ -1,9 +1,10 @@
 """Unit tests for repro.geometry.halfplane."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.halfplane import HalfPlane, RectSide
@@ -125,6 +126,17 @@ class TestRectClassification:
             assert hp.rect_outside(*rect) == expected
 
     @given(coeff, coeff, coeff, coord, coord, coord, coord)
+    # The float corner value underflows to -0.0 here while the exact one
+    # is about -3.6e-371: the oracle must not read it as on the boundary.
+    @example(
+        a=0.0,
+        b=-6.685980296962619e-213,
+        c=0.0,
+        x=0.0,
+        y=5.327771682063953e-159,
+        w=0.0,
+        h=0.0,
+    )
     def test_classification_agrees_with_corner_values(self, a, b, c, x, y, w, h):
         if a == 0.0 and b == 0.0:
             return
@@ -132,7 +144,10 @@ class TestRectClassification:
         xmin, ymin = x, y
         xmax, ymax = x + abs(w), y + abs(h)
         corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-        values = [hp.value(p) for p in corners]
+        # Exact corner values: classify_rect is exact, so the oracle must
+        # be too (float products can round a tiny sign to zero).
+        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+        values = [fa * Fraction(px) + fb * Fraction(py) + fc for px, py in corners]
         side = hp.classify_rect(xmin, ymin, xmax, ymax)
         if side is RectSide.INSIDE:
             assert all(v >= 0 for v in values)

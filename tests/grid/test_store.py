@@ -1,8 +1,8 @@
 """Property-based equivalence suite for the object-store backends.
 
-The columnar struct-of-arrays layout, its forced-scalar variant and the
-dict-backed mapping reference are three implementations of one storage
-contract behind ``GridIndex(store=...)``.  Every test here drives the
+The columnar struct-of-arrays layout and the dict-backed mapping
+reference are two implementations of one storage contract behind
+``GridIndex(store=...)``.  Every test here drives the
 backends in lockstep over the same operation sequence and asserts their
 observable state — and the search kernels computed over them — never
 differ.  The columnar side additionally self-checks its full
@@ -20,7 +20,7 @@ from repro.grid.index import GridIndex
 from repro.grid.search import GridSearch
 from repro.grid.store import COMPACT_MIN_FREE, ColumnarStore
 
-BACKENDS = ("columnar", "columnar-scalar", "mapping")
+BACKENDS = ("columnar", "mapping")
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 point = st.tuples(unit, unit)
@@ -92,7 +92,6 @@ class TestBackendEquivalence:
                 grid._store.check_invariants()
             states[kind] = _observable_state(grid)
         assert states["columnar"] == states["mapping"]
-        assert states["columnar-scalar"] == states["mapping"]
 
     @given(
         grid_sizes,
@@ -140,10 +139,8 @@ class TestBackendEquivalence:
             if isinstance(grid._store, ColumnarStore):
                 grid._store.check_invariants()
         assert deltas["columnar"] == deltas["mapping"]
-        assert deltas["columnar-scalar"] == deltas["mapping"]
         states = {k: _observable_state(g) for k, g in grids.items()}
         assert states["columnar"] == states["mapping"]
-        assert states["columnar-scalar"] == states["mapping"]
 
 
 class TestKernelEquivalence:
@@ -173,7 +170,6 @@ class TestKernelEquivalence:
                 ),
             )
         assert results["columnar"] == results["mapping"]
-        assert results["columnar-scalar"] == results["mapping"]
 
     @given(grid_sizes, st.lists(point, min_size=1, max_size=80), point)
     @settings(max_examples=60, deadline=None)
@@ -190,7 +186,6 @@ class TestKernelEquivalence:
         # winners across layouts; the minimum distance itself must be
         # bit-identical.
         assert best["columnar"] == best["mapping"]
-        assert best["columnar-scalar"] == best["mapping"]
 
 
 class TestCompaction:

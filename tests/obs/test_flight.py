@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from repro.engine.simulation import Simulator
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.fuzz import replay_artifact
 from repro.fuzz.corpus import ARTIFACT_VERSION as FUZZ_ARTIFACT_VERSION
 from repro.fuzz.scenario import MOTIONS
+from repro.motion.churn import TickEvents
 from repro.obs.flight import (
     ARTIFACT_VERSION,
     FLIGHT_MOTION,
@@ -169,3 +171,64 @@ class TestIncidentBundle:
             sim.step()
         assert len(rec.incidents) == 2
         assert rec.incidents[-1]["flight"]["reason"] == "spike 2"
+
+
+class _TupleFeed:
+    """Generator stub that hands the simulator plain ``(x, y)`` tuples,
+    never Points: one move and one insert per tick, plus an optional
+    move of an unknown object on a chosen tick."""
+
+    def __init__(self, bad_tick=None):
+        self.tick = 0
+        self.bad_tick = bad_tick
+
+    def initial(self):
+        return [(i, (0.1 + 0.08 * i, 0.5), 0) for i in range(10)]
+
+    def step_events(self, dt=1.0):
+        self.tick += 1
+        moves = [(3, (0.3, 0.1 * self.tick))]
+        if self.tick == self.bad_tick:
+            moves.append(("ghost", (0.5, 0.5)))
+        inserts = [(100 + self.tick, (0.05 * self.tick, 0.75), 0)]
+        return TickEvents(moves, inserts, [])
+
+
+def _tuple_sim(rec, feed):
+    sim = Simulator(feed, grid_size=4, ledger=False, flight=rec)
+    sim.add_query(
+        "igern",
+        IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5))),
+    )
+    sim.execute_queries()
+    return sim
+
+
+class TestTuplePositions:
+    def test_capture_reads_tuple_moves_and_inserts(self):
+        rec = FlightRecorder(window=8, min_history=1000)
+        sim = _tuple_sim(rec, _TupleFeed())
+        for _ in range(3):
+            sim.step()
+        bundle = rec.capture(sim, "tuple feed")
+        assert bundle is not None
+        ticks = bundle["scenario"]["script"]["ticks"]
+        assert [t["moves"] for t in ticks] == [
+            [[3, 0.3, 0.1 * tick]] for tick in (1, 2, 3)
+        ]
+        assert [t["inserts"] for t in ticks] == [
+            [[100 + tick, 0.05 * tick, 0.75, 0]] for tick in (1, 2, 3)
+        ]
+
+    def test_failing_tuple_tick_keeps_its_own_exception(self):
+        rec = FlightRecorder(window=8, min_history=1000)
+        sim = _tuple_sim(rec, _TupleFeed(bad_tick=2))
+        sim.step()
+        with pytest.raises(KeyError):
+            sim.step()
+        [bundle] = rec.incidents
+        assert bundle["flight"]["reason"].startswith("exception: KeyError")
+        assert bundle["scenario"]["script"]["ticks"][-1]["moves"] == [
+            [3, 0.3, 0.2],
+            ["ghost", 0.5, 0.5],
+        ]

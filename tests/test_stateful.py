@@ -21,9 +21,9 @@ Three state machines:
   per-tick context genuinely memoizes across them — neither batching
   nor lease-held skips may ever change an answer, under any
   interleaving of movement, churn and pause/resume;
-- :class:`StoreLockstepMachine` drives the columnar, forced-scalar and
-  mapping storage backends through identical mutation sequences (single
-  ops and ``apply_updates`` batches) and asserts observational identity
+- :class:`StoreLockstepMachine` drives the columnar and mapping storage
+  backends through identical mutation sequences (single ops and
+  ``apply_updates`` batches) and asserts observational identity
   plus the columnar store's internal row/bucket/free-list invariants at
   every step.
 """
@@ -495,18 +495,18 @@ class BatchLockstepMachine(RuleBasedStateMachine):
 
 
 class StoreLockstepMachine(RuleBasedStateMachine):
-    """The three storage backends driven in lockstep must be
+    """The two storage backends driven in lockstep must be
     observationally identical at every step.
 
     Mutations arrive both one at a time (``insert``/``move``/``remove``)
     and as ``apply_updates`` batches — the engine's path, which also
     exercises the columnar bulk-move kernel and the per-cell delta
     bookkeeping.  After every step the backends must agree on positions,
-    per-cell membership and a search probe, and the columnar layouts
-    must pass their full internal consistency check (rows, buckets,
+    per-cell membership and a search probe, and the columnar layout
+    must pass its full internal consistency check (rows, buckets,
     slots, free list, category sets)."""
 
-    _KINDS = ("columnar", "columnar-scalar", "mapping")
+    _KINDS = ("columnar", "mapping")
 
     def __init__(self):
         super().__init__()
@@ -561,7 +561,6 @@ class StoreLockstepMachine(RuleBasedStateMachine):
                 frozenset(delta.touched_cells),
             )
         assert deltas["columnar"] == deltas["mapping"]
-        assert deltas["columnar-scalar"] == deltas["mapping"]
 
     @invariant()
     def backends_observationally_identical(self):
@@ -571,18 +570,16 @@ class StoreLockstepMachine(RuleBasedStateMachine):
             key: frozenset(ref.objects_in_cell(key))
             for key in ref.occupied_cells()
         }
-        for kind in ("columnar", "columnar-scalar"):
-            grid = self.grids[kind]
-            assert grid.positions_snapshot() == snap
-            assert {
-                key: frozenset(grid.objects_in_cell(key))
-                for key in grid.occupied_cells()
-            } == cells
+        grid = self.grids["columnar"]
+        assert grid.positions_snapshot() == snap
+        assert {
+            key: frozenset(grid.objects_in_cell(key))
+            for key in grid.occupied_cells()
+        } == cells
 
     @invariant()
     def columnar_internal_consistency(self):
-        for kind in ("columnar", "columnar-scalar"):
-            self.grids[kind]._store.check_invariants()
+        self.grids["columnar"]._store.check_invariants()
 
     @precondition(lambda self: self.live)
     @invariant()
@@ -594,7 +591,6 @@ class StoreLockstepMachine(RuleBasedStateMachine):
                 sorted(search.witnesses_closer_than((0.4, 0.6), 0.09)),
             )
         assert probes["columnar"] == probes["mapping"]
-        assert probes["columnar-scalar"] == probes["mapping"]
 
 
 TestGridIndexStateful = GridIndexMachine.TestCase
