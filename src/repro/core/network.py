@@ -21,10 +21,10 @@ Every step is a from-scratch evaluation: the witness set of a network
 query has no bounded Euclidean footprint (a far-away object can be
 network-close), so the executors report ``footprint() -> None`` and the
 tick scheduler honestly re-evaluates them every tick.  The BRkNN-light
-sharing happens one layer down — the metric memoizes single-source
-Dijkstra maps in the batch's :class:`SharedTickContext`
-(``repro.metric``), so co-evaluated queries on one network still share
-shortest-path expansions.
+sharing happens one layer down — single-source Dijkstra maps are
+memoized on the road network itself (``repro.metric``), so every query
+on one network shares shortest-path expansions, within a tick and
+across ticks.
 
 The states below mirror the interface surface the engine and the fuzz
 lockstep read from Euclidean states: ``candidates`` / ``nn_a``

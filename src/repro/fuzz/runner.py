@@ -285,8 +285,8 @@ class _Lockstep:
         sc = self.scenario
         metric = None
         if sc.metric == "network":
-            # Fresh metric per query (private Dijkstra cache), shared
-            # scenario network underneath.
+            # Fresh metric per query; the scenario network underneath
+            # holds the distance memo they share.
             metric = NetworkMetric(self.network)
         if sc.mode == "mono":
             return IGERNMonoQuery(grid, position, k=sc.k, metric=metric)

@@ -58,7 +58,7 @@ from repro.grid.cell import CellKey
 from repro.grid.index import Category, GridIndex, ObjectId
 
 #: Memo kinds, for per-kind hit/miss introspection.
-KINDS = ("witness", "nearest", "cells", "classify", "network")
+KINDS = ("witness", "nearest", "cells", "classify")
 
 
 class _WitnessEntry:
@@ -93,14 +93,6 @@ class SharedTickContext:
         self._nearest: Dict[tuple, tuple] = {}
         self._cells: Dict[Tuple[CellKey, Optional[Category]], tuple] = {}
         self._classify: Dict[tuple, bool] = {}
-        # Per-road-network memo of single-source Dijkstra distance maps
-        # (source node -> distance map), keyed by network instance; see
-        # repro.metric.NetworkMetric.node_distances.  Cleared with the
-        # other memos even though networks are immutable — keeping the
-        # context's memory bounded by one tick matters more than the
-        # (cheap, counted) re-expansions, and it keeps the sharing-ratio
-        # gauge an honest *within-tick* measurement.
-        self._network: Dict[object, Dict[int, Dict[int, float]]] = {}
         #: Aggregate probe accounting (all kinds).
         self.hits = 0
         self.misses = 0
@@ -136,7 +128,6 @@ class SharedTickContext:
         self._nearest.clear()
         self._cells.clear()
         self._classify.clear()
-        self._network.clear()
         self.invalidations += 1
 
     def _ensure_fresh(self) -> None:
@@ -373,32 +364,6 @@ class SharedTickContext:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    # ------------------------------------------------------------------
-    # Network distance maps
-    # ------------------------------------------------------------------
-
-    def network_memo(self, network: object) -> Dict[int, Dict[int, float]]:
-        """The per-tick memo of single-source network distance maps for
-        one road network, shared by every :class:`repro.metric.NetworkMetric`
-        bound to this context over the same network instance — the
-        BRkNN-light idea: co-evaluated queries on one network mostly
-        expand the same shortest-path trees, so the batch pays for each
-        source node once.  Maps are pure functions of the immutable
-        network, so sharing cannot change answers; accounting goes
-        through :meth:`account_network` at the metric's lookup site
-        (where hit/miss is actually decided)."""
-        self._ensure_fresh()
-        memo = self._network.get(network)
-        if memo is None:
-            memo = {}
-            self._network[network] = memo
-        return memo
-
-    def account_network(self, hit: bool) -> None:
-        """Tally one network distance-map request against the shared
-        counters (kind ``"network"``)."""
-        self._account("network", hit)
 
     def counters_snapshot(self) -> Dict[str, int]:
         out: Dict[str, int] = {"hits": self.hits, "misses": self.misses}

@@ -908,6 +908,33 @@ class GridSearch:
                         heap, (self._cell_d2(nkey, qx, qy), tiebreak, 0, nkey)
                     )
 
+    def _cells_within(
+        self, cx: float, cy: float, r2: float, kind: SearchKind
+    ) -> Iterator[CellKey]:
+        """Cells meeting the closed ball of squared radius ``r2`` around
+        ``(cx, cy)``, nearest first (best-first over 4-neighbors), each
+        tallied as visited when yielded.  A consumer may stop early."""
+        grid = self.grid
+        n = grid.size
+        cells_visited = self.stats.cells_visited
+        start = cell_key_of(grid.extent, n, (cx, cy))
+        heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
+        seen: Set[CellKey] = {start}
+        while heap:
+            d2, key = heapq.heappop(heap)
+            if d2 > r2:
+                return
+            cells_visited[kind] += 1
+            yield key
+            ix, iy = key
+            for sx, sy in _NEIGHBOR_STEPS:
+                nkey = (ix + sx, iy + sy)
+                if 0 <= nkey[0] < n and 0 <= nkey[1] < n and nkey not in seen:
+                    seen.add(nkey)
+                    nd2 = self._cell_d2(nkey, cx, cy)
+                    if nd2 <= r2:
+                        heapq.heappush(heap, (nd2, nkey))
+
     @_traced("grid.search.objects_within")
     def objects_within(
         self,
@@ -929,22 +956,12 @@ class GridSearch:
         cx, cy = center
         excluded = _as_excluded(exclude)
         grid = self.grid
-        n = grid.size
         stats = self.stats
         stats.calls[kind] += 1
-
         r2 = radius * radius
         out: List[Tuple[float, ObjectId]] = []
-        start = cell_key_of(grid.extent, n, (cx, cy))
-        heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
-        seen: Set[CellKey] = {start}
         positions = grid._positions
-
-        while heap:
-            d2, key = heapq.heappop(heap)
-            if d2 > r2:
-                break
-            stats.cells_visited[kind] += 1
+        for key in self._cells_within(cx, cy, r2, kind):
             for oid in grid.objects_in_cell(key, category):
                 if oid in excluded:
                     continue
@@ -955,14 +972,6 @@ class GridSearch:
                 od2 = dx * dx + dy * dy
                 if od2 <= r2:
                     out.append((od2, oid))
-            ix, iy = key
-            for sx, sy in _NEIGHBOR_STEPS:
-                nkey = (ix + sx, iy + sy)
-                if 0 <= nkey[0] < n and 0 <= nkey[1] < n and nkey not in seen:
-                    seen.add(nkey)
-                    nd2 = self._cell_d2(nkey, cx, cy)
-                    if nd2 <= r2:
-                        heapq.heappush(heap, (nd2, nkey))
         out.sort(key=lambda pair: pair[0])
         return [(oid, math.sqrt(d2)) for d2, oid in out]
 
@@ -989,10 +998,12 @@ class GridSearch:
         superset of the open network ball (the multiplicative pad
         absorbs the float rounding of path sums; extra admissions are
         harmless because the refine step applies the exact shared float
-        comparison from ``RoadNetwork.point_to_point``).  The count is
-        order-independent, so the early exit at ``stop_at`` returns
-        exactly what the full enumeration would clamp to — enumeration
-        order differences between store backends cannot show through.
+        comparison from ``RoadNetwork.point_to_point``).  The ball is
+        walked cell by cell, nearest cell first, and each admitted
+        object is refined as soon as it is found.  The count is
+        order-independent, so returning as soon as it reaches
+        ``stop_at`` gives exactly what the full enumeration would clamp
+        to.
         """
         if metric is None:
             metric = self.metric
@@ -1000,29 +1011,34 @@ class GridSearch:
             # Network distances are non-negative; strictly-below-zero
             # (or -equal-zero) witnesses cannot exist.
             return 0
-        self.stats.witness_probes += 1
-        if math.isfinite(threshold):
-            rows = self.objects_within(
-                center,
-                metric.prefilter_radius(threshold),
-                exclude=exclude,
-                category=category,
-                kind=kind,
-            )
-            candidates = [oid for oid, _dist in rows]
-        else:  # pragma: no cover - connected networks keep distances finite
-            excluded = _as_excluded(exclude)
-            candidates = [
-                oid for oid in self.grid.objects(category) if oid not in excluded
-            ]
-        loc_center = metric.locate(center)
-        position = self.grid.position
+        stats = self.stats
+        stats.witness_probes += 1
+        stats.calls[kind] += 1
+        cx, cy = center
+        radius = metric.prefilter_radius(threshold)
+        r2 = radius * radius
+        excluded = _as_excluded(exclude)
+        grid = self.grid
+        positions = grid._positions
+        locate = metric.locate
+        distance_located = metric.distance_located
+        loc_center = locate(center)
         count = 0
-        for oid in candidates:
-            if metric.distance_located(loc_center, metric.locate(position(oid))) < threshold:
-                count += 1
-                if stop_at is not None and count >= stop_at:
-                    break
+        for key in self._cells_within(cx, cy, r2, kind):
+            for oid in grid.objects_in_cell(key, category):
+                if oid in excluded:
+                    continue
+                stats.objects_examined[kind] += 1
+                p = positions[oid]
+                dx = p.x - cx
+                dy = p.y - cy
+                if (
+                    dx * dx + dy * dy <= r2
+                    and distance_located(loc_center, locate(p)) < threshold
+                ):
+                    count += 1
+                    if stop_at is not None and count >= stop_at:
+                        return count
         return count
 
     # ------------------------------------------------------------------

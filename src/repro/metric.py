@@ -19,14 +19,14 @@ Design constraints, in order of importance:
    ``tests/motion/test_roadnet_metric.py``, which pins the kernel
    against ``networkx.single_source_dijkstra_path_length``).
 
-2. **Cross-query sharing (BRkNN-light, PAPERS.md).**  Batched RkNN
-   queries over the same road network mostly expand the same shortest
-   path trees.  When the batch executor binds its
-   :class:`~repro.grid.context.SharedTickContext`, per-source distance
-   maps are memoized there and shared by every co-evaluated query;
-   unbound, each metric keeps a private persistent cache (sound:
-   networks are immutable), so scheduler-off simulators compute
-   identical values on the cold path.
+2. **Sharing across queries and ticks (BRkNN-light, PAPERS.md).**
+   RkNN queries over the same road network mostly expand the same
+   shortest-path trees, and a network never changes.  So per-source
+   distance maps are memoized on the :class:`RoadNetwork` itself
+   (:attr:`RoadNetwork.distance_memo`), shared by every metric over it,
+   batched or not, and kept across ticks: a tick boundary drops only
+   the maps the finished tick did not request
+   (:meth:`RoadNetwork.observe_grid`).
 
 3. **Sound Euclidean prefiltering.**  Straight-line distance lower
    bounds shortest-path distance, so a Euclidean ball is a sound
@@ -43,21 +43,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.motion.roadnet import RoadNetwork
 
 #: Multiplicative padding for Euclidean prefilter radii derived from
 #: network-distance thresholds (see module docstring, point 3).
 PREFILTER_PAD = 1.0 + 2.0**-30
-
-#: Entry cap of a :class:`NetworkMetric`'s private persistent
-#: distance-map cache.  Each entry is a full single-source map —
-#: O(nodes) floats — so an uncapped cache converges on O(nodes**2)
-#: memory over a long run on a large network.  256 sources comfortably
-#: covers the per-tick working set of every committed workload while
-#: bounding the worst case.
-PRIVATE_CACHE_MAX = 256
 
 Located = Tuple[int, int, float, float]
 
@@ -126,10 +118,6 @@ class Metric:
         """Distance between two raw points."""
         raise NotImplementedError
 
-    def bind_context(self, context) -> None:
-        """Attach a per-tick shared context (no-op unless the metric
-        has cross-query state worth sharing)."""
-
     def observe_grid(self, grid) -> None:
         """Note the grid driving the queries (no-op unless the metric
         keeps cross-tick state to scope by tick epoch)."""
@@ -167,92 +155,25 @@ class NetworkMetric(Metric):
 
     euclidean = False
 
-    def __init__(self, network: RoadNetwork, cache_cap: int = PRIVATE_CACHE_MAX):
-        if cache_cap < 1:
-            raise ValueError(f"cache_cap must be positive, got {cache_cap}")
+    def __init__(self, network: RoadNetwork):
         self.network = network
-        # Private persistent per-source distance-map cache, used when no
-        # shared tick context is bound.  Networks are immutable, so the
-        # cache never goes stale and cached maps are bit-identical to
-        # freshly computed ones — but each map is O(nodes), so retention
-        # is bounded two ways: a hard entry cap (FIFO eviction on
-        # insert), and generational eviction on tick-epoch change
-        # (:meth:`observe_grid` drops every source the previous epoch
-        # never touched).
-        self._cache: Dict[int, Dict[int, float]] = {}
-        self._cache_cap = cache_cap
-        #: Sources served from the private cache in the current epoch.
-        self._used: set = set()
-        #: Last observed ``GridIndex.mutations`` stamp (``None`` until
-        #: a grid is observed).
-        self._grid_stamp: Optional[int] = None
-        self._context = None
-
-    # -- context plumbing ----------------------------------------------
-
-    def bind_context(self, context) -> None:
-        """Route distance-map memoization through a
-        :class:`~repro.grid.context.SharedTickContext` (the batch
-        executor's), so overlapping queries share Dijkstra expansions."""
-        self._context = context
 
     def observe_grid(self, grid) -> None:
-        """Scope the private cache by the grid's tick epoch.
-
-        Query adapters call this before every evaluation.  The
-        ``GridIndex.mutations`` stamp advances whenever a tick's
-        movement lands, so a changed stamp marks an epoch boundary:
-        every cached source the finished epoch never requested is
-        evicted then.  Together with the insert-time cap this pins the
-        private cache at (last epoch's working set) ∪ (cap) instead of
-        letting a long churn run accumulate one O(nodes) map per source
-        node ever touched.  Eviction is a pure memory policy — cached
-        maps are pure functions of the immutable network, so recomputed
-        maps are bit-identical and answers are unaffected.
-        """
-        stamp = grid.mutations
-        if stamp == self._grid_stamp:
-            return
-        self._grid_stamp = stamp
-        cache = self._cache
-        used = self._used
-        if len(cache) > len(used):
-            for source in [s for s in cache if s not in used]:
-                del cache[source]
-        used.clear()
-
-    # -- distance maps -------------------------------------------------
+        """Mark tick boundaries on the network's memos (see
+        :meth:`RoadNetwork.observe_grid`)."""
+        self.network.observe_grid(grid)
 
     def node_distances(self, source: int) -> Dict[int, float]:
-        """The single-source shortest-path map of ``source``, memoized.
-
-        Served from the bound shared tick context when there is one
-        (cross-query sharing within the tick), else from the private
-        persistent cache.  Identical values either way.
-        """
-        ctx = self._context
-        if ctx is not None:
-            memo = ctx.network_memo(self.network)
-        else:
-            memo = self._cache
-            self._used.add(source)
+        """The single-source shortest-path map of ``source``, memoized on
+        the network for every metric over it."""
+        memo = self.network.distance_memo
         cached = memo.get(source)
         if cached is not None:
             STATS.cache_hits += 1
-            if ctx is not None:
-                ctx.account_network(hit=True)
             return cached
         STATS.cache_misses += 1
-        if ctx is not None:
-            ctx.account_network(hit=False)
         dist = self.compute_distances(source)
-        memo[source] = dist
-        if ctx is None and len(memo) > self._cache_cap:
-            # FIFO eviction (dict insertion order): a plain bound, not
-            # an optimizer — evicted maps recompute bit-identically.
-            evict = next(iter(memo))
-            del memo[evict]
-            self._used.discard(evict)
+        memo.put(source, dist)
         return dist
 
     def compute_distances(self, source: int) -> Dict[int, float]:

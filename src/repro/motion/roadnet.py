@@ -28,8 +28,54 @@ from repro.geometry.point import Point
 Edge = Tuple[int, int]
 
 
+class TickMemo:
+    """A two-generation memo: an entry survives a tick boundary only if
+    the tick that just finished requested it.
+
+    Lookups read the current generation and promote hits from the
+    previous one; :meth:`new_tick` retires the previous generation and
+    starts a fresh current one.  So after any boundary the memo holds at
+    most the keys of the finished tick plus those of the running one,
+    and nothing is ever evicted within a tick.
+    """
+
+    __slots__ = ("_current", "_previous")
+
+    def __init__(self) -> None:
+        self._current: dict = {}
+        self._previous: dict = {}
+
+    def get(self, key):
+        value = self._current.get(key)
+        if value is None:
+            value = self._previous.pop(key, None)
+            if value is not None:
+                self._current[key] = value
+        return value
+
+    def put(self, key, value) -> None:
+        self._current[key] = value
+
+    def new_tick(self) -> None:
+        self._previous = self._current
+        self._current = {}
+
+    def __len__(self) -> int:
+        return len(self._current) + len(self._previous)
+
+    def __contains__(self, key) -> bool:
+        return key in self._current or key in self._previous
+
+
 class RoadNetwork:
-    """An undirected planar network with Euclidean edge lengths."""
+    """An undirected planar network with Euclidean edge lengths.
+
+    A network is immutable, so everything derived from it — edge snaps
+    (:meth:`locate`) and single-source distance maps (memoized by
+    :class:`repro.metric.NetworkMetric` in :attr:`distance_memo`) — is a
+    pure function of it, cached here once for every metric and query
+    over the network.  :meth:`observe_grid` scopes both memos by tick.
+    """
 
     def __init__(
         self,
@@ -73,8 +119,46 @@ class RoadNetwork:
         self._sorted_edges: List[Tuple[int, int, float]] = sorted(
             (min(u, v), max(u, v), length) for u, v, length in self.edges()
         )
-        # Snap memo; networks are immutable, so entries never go stale.
-        self._locate_cache: Dict[Tuple[float, float], Tuple[int, int, float, float]] = {}
+        self._init_memos()
+
+    def _init_memos(self) -> None:
+        #: Snap memo of :meth:`locate`: raw point -> located snap.
+        self.snap_memo = TickMemo()
+        #: Single-source distance maps: source node -> {node: distance}.
+        self.distance_memo = TickMemo()
+        #: Last ``GridIndex.mutations`` stamp seen by :meth:`observe_grid`.
+        self._grid_stamp: Optional[int] = None
+
+    def __getstate__(self) -> dict:
+        # The memos are process-local: a pickled network (shipped to
+        # every shard worker) carries none of their entries.
+        state = self.__dict__.copy()
+        for name in ("snap_memo", "distance_memo", "_grid_stamp"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_memos()
+
+    def observe_grid(self, grid) -> None:
+        """Mark a tick boundary when the grid's ``mutations`` stamp moved.
+
+        Query adapters call this (through
+        :meth:`repro.metric.NetworkMetric.observe_grid`) before every
+        evaluation.  A new stamp means a tick's movement landed: both
+        memos then drop what the finished tick did not request.  Every
+        moved object snaps to a new key and may probe from new sources,
+        so without the boundary a long run would keep one snap per
+        position and one O(nodes) map per source node ever touched.
+        Eviction is a pure memory policy — a recomputed entry is
+        bit-identical — so answers are unaffected.
+        """
+        stamp = grid.mutations
+        if stamp != self._grid_stamp:
+            self._grid_stamp = stamp
+            self.snap_memo.new_tick()
+            self.distance_memo.new_tick()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -157,7 +241,7 @@ class RoadNetwork:
         px = float(point[0])
         py = float(point[1])
         key = (px, py)
-        cached = self._locate_cache.get(key)
+        cached = self.snap_memo.get(key)
         if cached is not None:
             return cached
         pos = self._pos
@@ -182,7 +266,7 @@ class RoadNetwork:
                 best = (u, v, t * length)
         assert best is not None  # a network always has at least one edge
         located = (best[0], best[1], best[2], math.sqrt(best_d2))
-        self._locate_cache[key] = located
+        self.snap_memo.put(key, located)
         return located
 
     def point_to_point(

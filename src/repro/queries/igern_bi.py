@@ -74,14 +74,13 @@ class IGERNBiQuery(ContinuousQuery):
     def bind_shared_context(self, context) -> None:
         self._algo.shared_context = context
         self.search.shared_context = context
-        self.metric.bind_context(context)
 
     def bind_cost_recorder(self, cost) -> None:
         self._algo.cost = cost
 
     def initial(self) -> FrozenSet[Hashable]:
-        # Network metrics scope their private distance-map cache by the
-        # grid's tick epoch (no-op for Euclidean).
+        # Network metrics mark tick boundaries on their network's memos
+        # (no-op for Euclidean).
         self.metric.observe_grid(self.grid)
         self._state, report = self._algo.initial(self.position.current())
         if self.lease_enabled and self.metric.euclidean:

@@ -70,16 +70,13 @@ class IGERNMonoQuery(ContinuousQuery):
     def bind_shared_context(self, context) -> None:
         self._algo.shared_context = context
         self.search.shared_context = context
-        # Network metrics memoize Dijkstra maps in the shared context so
-        # co-evaluated queries share expansions (no-op for Euclidean).
-        self.metric.bind_context(context)
 
     def bind_cost_recorder(self, cost) -> None:
         self._algo.cost = cost
 
     def initial(self) -> FrozenSet[Hashable]:
-        # Network metrics scope their private distance-map cache by the
-        # grid's tick epoch (no-op for Euclidean).
+        # Network metrics mark tick boundaries on their network's memos
+        # (no-op for Euclidean).
         self.metric.observe_grid(self.grid)
         self._state, report = self._algo.initial(self.position.current())
         if self.lease_enabled and self.metric.euclidean:

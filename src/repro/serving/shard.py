@@ -54,9 +54,9 @@ class ShardConfig:
     lease: bool = False
     dt: float = 1.0
     #: Road network for network-metric queries (picklable; ``None`` for
-    #: pure-Euclidean serving).  Shared by every network query on the
-    #: shard through one :class:`NetworkMetric` instance, whose private
-    #: Dijkstra cache stays bounded (``PRIVATE_CACHE_MAX``).
+    #: pure-Euclidean serving).  :func:`build_query` gives each network
+    #: query its own :class:`NetworkMetric`; all of them share the
+    #: network's tick-scoped distance memo, which pickles empty.
     network: Optional[RoadNetwork] = None
 
     def rect(self) -> Optional[Rect]:

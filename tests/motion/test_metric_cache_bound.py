@@ -1,105 +1,190 @@
-"""The private network-distance cache must stay bounded across ticks.
+"""A road network's memos must stay bounded across ticks.
 
-Regression tests for the unbounded-cache bug: a :class:`NetworkMetric`
-without a bound shared tick context memoizes one O(nodes) distance map
-per source ever requested, so a long run over a large network converged
-on O(nodes**2) resident floats.  The fix bounds it two ways — a hard
-entry cap with FIFO eviction, and generational eviction at tick-epoch
-boundaries (:meth:`NetworkMetric.observe_grid`, keyed off
-``GridIndex.mutations``).  Eviction is a pure memory policy: recomputed
-maps are bit-identical, which the lockstep fuzz suite already holds the
-metric to.
+A :class:`RoadNetwork` memoizes edge snaps (``snap_memo``) and
+single-source distance maps (``distance_memo``) for every
+:class:`NetworkMetric` over it.  Networks are immutable, so entries
+never go stale and retention is a pure memory policy: at each tick
+boundary — a new ``GridIndex.mutations`` stamp seen by
+:meth:`RoadNetwork.observe_grid` — both memos drop what the finished
+tick did not request, and nothing is evicted within a tick.  There is
+no entry cap: a tick that needs more sources than any cap would
+otherwise recompute them over and over.
 """
 
-import pytest
+import pickle
+import random
 
 from repro.engine.simulation import Simulator
+from repro.fuzz.scenario import ScriptedWorkload
 from repro.grid.index import GridIndex
-from repro.metric import PRIVATE_CACHE_MAX, NetworkMetric
+from repro.metric import STATS, NetworkMetric
 from repro.motion.churn import ChurnRandomWalkGenerator
+from repro.motion.generator import NetworkMovingObjectGenerator
 from repro.motion.roadnet import RoadNetwork
 from repro.queries import IGERNMonoQuery, QueryPosition
 
 
-def test_private_cache_respects_hard_cap():
-    # 20x20 grid city: 400 nodes, comfortably above the default cap.
+def _one_object_grid() -> GridIndex:
+    grid = GridIndex(4)
+    grid.insert("a", (0.5, 0.5))
+    return grid
+
+
+def _network_query(sim: Simulator, metric: NetworkMetric) -> None:
+    sim.add_query(
+        "net",
+        IGERNMonoQuery(
+            sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5)), metric=metric
+        ),
+    )
+
+
+def test_each_source_costs_one_run_within_a_tick():
+    # 20x20 grid city: 400 nodes, more sources than a 256-entry cap.
     net = RoadNetwork.grid_city(rows=20, cols=20, seed=3)
-    metric = NetworkMetric(net)
-    assert len(net.nodes) > PRIVATE_CACHE_MAX
-    for source in net.nodes:
-        metric.node_distances(source)
-    assert len(metric._cache) <= PRIVATE_CACHE_MAX
-
-
-def test_private_cache_cap_override_validates():
-    net = RoadNetwork.grid_city(rows=2, cols=2, seed=0)
-    with pytest.raises(ValueError):
-        NetworkMetric(net, cache_cap=0)
+    grid = _one_object_grid()
+    metrics = [NetworkMetric(net), NetworkMetric(net)]
+    runs = STATS.dijkstra_runs
+    for metric in metrics:
+        metric.observe_grid(grid)
+        for source in net.nodes:
+            metric.node_distances(source)
+    assert STATS.dijkstra_runs - runs == len(net.nodes) > 256
 
 
 def test_epoch_change_evicts_untouched_sources():
     net = RoadNetwork.grid_city(rows=4, cols=4, seed=1)
+    memo = net.distance_memo
     metric = NetworkMetric(net)
-    grid = GridIndex(4)
-    grid.insert("a", (0.5, 0.5))
+    grid = _one_object_grid()
     metric.observe_grid(grid)
     first_six = list(net.nodes[:6])
     straggler = net.nodes[6]
     for source in first_six:
         metric.node_distances(source)
-    assert len(metric._cache) == 6
+    assert len(memo) == 6
 
     # Epoch boundary: everything was touched last epoch, so all survive.
     grid.move("a", (0.6, 0.6))
     metric.observe_grid(grid)
-    assert len(metric._cache) == 6
+    assert len(memo) == 6
 
     # Only the straggler is touched this epoch; the next boundary drops
     # the first six.
     metric.node_distances(straggler)
     grid.move("a", (0.7, 0.7))
     metric.observe_grid(grid)
-    assert set(metric._cache) == {straggler}
+    assert len(memo) == 1 and straggler in memo
 
     # Same stamp again: no further eviction.
     metric.observe_grid(grid)
-    assert set(metric._cache) == {straggler}
+    assert len(memo) == 1 and straggler in memo
 
 
 def test_evicted_sources_recompute_identically():
     net = RoadNetwork.grid_city(rows=5, cols=5, seed=2)
-    metric = NetworkMetric(net, cache_cap=2)
-    a, b, c = net.nodes[0], net.nodes[1], net.nodes[2]
-    first = dict(metric.node_distances(a))
-    metric.node_distances(b)
-    metric.node_distances(c)  # evicts the first source
-    assert a not in metric._cache
-    assert metric.node_distances(a) == first
+    metric = NetworkMetric(net)
+    grid = _one_object_grid()
+    a, b = net.nodes[0], net.nodes[1]
+    metric.observe_grid(grid)
+    first = metric.node_distances(a)
+    # Two boundaries with ``a`` unrequested in between evict it.
+    for target in ((0.6, 0.6), (0.7, 0.7)):
+        grid.move("a", target)
+        metric.observe_grid(grid)
+        metric.node_distances(b)
+    assert a not in net.distance_memo
+    again = metric.node_distances(a)
+    assert again == first and again is not first
+
+
+class _RecordingMetric(NetworkMetric):
+    """Records every distance-map request, for the retention bound."""
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.requested = set()
+
+    def node_distances(self, source):
+        self.requested.add(source)
+        return super().node_distances(source)
 
 
 def test_cache_pinned_over_long_churn_run():
     """End to end: a scheduler-off network simulator over heavy churn
-    holds its private cache at the per-epoch working set, not at one
-    entry per source node ever touched."""
-    net = RoadNetwork.grid_city(rows=6, cols=6, seed=9)
+    holds the network's distance memo at the current and previous
+    ticks' sources, not at one entry per source node ever touched."""
+    net = RoadNetwork.grid_city(rows=20, cols=20, seed=9)
     generator = ChurnRandomWalkGenerator(
         24, seed=5, step_sigma=0.05, birth_rate=0.3, death_rate=0.3
     )
     sim = Simulator(generator, grid_size=8, scheduler=False, flight=False)
-    metric = NetworkMetric(net, cache_cap=16)
-    sim.add_query(
-        "net",
-        IGERNMonoQuery(
-            sim.grid,
-            QueryPosition(sim.grid, fixed=(0.5, 0.5)),
-            metric=metric,
-        ),
-    )
-    high_water = 0
+    metric = _RecordingMetric(net)
+    _network_query(sim, metric)
     sim.run(0)
+    previous = set(metric.requested)
+    union = set(previous)
+    largest_tick = len(previous)
     for _ in range(30):
+        metric.requested = set()
         sim.step()
-        high_water = max(high_water, len(metric._cache))
-    # One epoch's working set plus the carried previous epoch, never the
-    # cumulative union of 30 ticks of churn positions.
-    assert high_water <= 2 * 16
+        current = metric.requested
+        assert len(net.distance_memo) <= len(previous | current)
+        union |= current
+        largest_tick = max(largest_tick, len(current))
+        previous = current
+    # The bound has teeth: the run touched far more sources than two
+    # ticks' worth.
+    assert len(union) > 2 * largest_tick
+
+
+def test_snap_memo_bounded_by_two_ticks_of_positions():
+    """Every move snaps a new raw position; the snap memo must forget
+    the positions objects have left instead of keeping one per move."""
+    net = RoadNetwork.grid_city(rows=6, cols=6, seed=1)
+    generator = NetworkMovingObjectGenerator(net, 16, seed=3)
+    sim = Simulator(generator, grid_size=8, flight=False)
+    _network_query(sim, NetworkMetric(net))
+    sim.run(0)
+    # Per tick: the live positions plus the query point.
+    per_tick = len(sim.grid) + 1
+    for _ in range(300):
+        sim.step()
+        assert len(net.snap_memo) <= 2 * per_tick
+
+
+def test_second_tick_runs_at_most_two_dijkstras_per_moved_object():
+    """With maps kept across ticks, a tick recomputes only the sources
+    a move introduced — the two endpoints of the mover's new edge."""
+    net = RoadNetwork.grid_city(rows=6, cols=6, seed=4)
+    rng = random.Random(7)
+    edges = net.sorted_edges()
+
+    def road_point():
+        u, v, length = edges[rng.randrange(len(edges))]
+        p = net.point_on_edge(u, v, rng.uniform(0.0, length))
+        return [p.x, p.y]
+
+    script = {
+        "initial": [[oid, *road_point(), 0] for oid in range(12)],
+        "ticks": [{"moves": [[0, *road_point()]]} for _ in range(2)],
+    }
+    sim = Simulator(ScriptedWorkload(script), grid_size=8, batch=True, flight=False)
+    _network_query(sim, NetworkMetric(net))
+    sim.run(0)
+    sim.step()
+    runs = STATS.dijkstra_runs
+    sim.step()
+    assert STATS.dijkstra_runs - runs <= 2
+
+
+def test_pickled_network_carries_no_memo_entries():
+    net = RoadNetwork.grid_city(rows=4, cols=4, seed=0)
+    metric = NetworkMetric(net)
+    metric.distance((0.1, 0.1), (0.9, 0.9))
+    assert len(net.snap_memo) and len(net.distance_memo)
+    clone = pickle.loads(pickle.dumps(net))
+    assert len(clone.snap_memo) == 0 and len(clone.distance_memo) == 0
+    assert NetworkMetric(clone).distance((0.1, 0.1), (0.9, 0.9)) == metric.distance(
+        (0.1, 0.1), (0.9, 0.9)
+    )

@@ -29,9 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid.context import SharedTickContext
 from repro.grid.index import GridIndex
-from repro.metric import EUCLIDEAN, PREFILTER_PAD, NetworkMetric
+from repro.metric import EUCLIDEAN, PREFILTER_PAD, STATS, NetworkMetric
 from repro.motion.roadnet import RoadNetwork
 
 NETWORKS = {
@@ -258,32 +257,23 @@ def test_locate_is_memoized_and_tie_broken_canonically():
 # ----------------------------------------------------------------------
 
 
-def test_private_cache_unbound_and_shared_context_bound():
+def test_distance_maps_shared_across_metrics_and_ticks():
     net = NETWORKS["grid-jittered"]
     grid = GridIndex(8)
     grid.insert(0, (0.5, 0.5))
-    ctx = SharedTickContext(grid)
-    ctx.begin_tick()
-
     metric = NetworkMetric(net)
-    source = net.nodes[0]
-
-    # Unbound: second request is a private-cache hit, bit-identical.
-    cold = metric.node_distances(source)
-    assert metric.node_distances(source) is cold
-
-    # Bound: maps memoize in the tick context, shared across metrics.
-    metric.bind_context(ctx)
     other = NetworkMetric(net)
-    other.bind_context(ctx)
+    metric.observe_grid(grid)
+
+    # One memo per network: a second metric reads the first one's map.
+    hits = STATS.cache_hits
     shared = other.node_distances(net.nodes[1])
     assert metric.node_distances(net.nodes[1]) is shared
-    assert ctx.counters_snapshot()["hits_network"] >= 1
+    assert STATS.cache_hits > hits
 
-    # A new tick drops the memo: the next request recomputes (a miss),
-    # but — networks being immutable — to the very same values.
-    ctx.begin_tick()
-    before = ctx.counters_snapshot()["misses_network"]
-    again = metric.node_distances(net.nodes[1])
-    assert again == shared and again is not shared
-    assert ctx.counters_snapshot()["misses_network"] == before + 1
+    # A new tick keeps what the finished tick requested: no recompute.
+    grid.move(0, (0.6, 0.6))
+    metric.observe_grid(grid)
+    runs = STATS.dijkstra_runs
+    assert metric.node_distances(net.nodes[1]) is shared
+    assert STATS.dijkstra_runs == runs
