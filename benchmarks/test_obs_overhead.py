@@ -1,22 +1,16 @@
-"""Observability overhead: disabled tracing vs the pre-PR hot path.
+"""Observability overhead: the cost ledger and the flight recorder.
 
-The search primitives (``GridSearch.nearest`` and friends) are wrapped by
-the ``_traced`` decorator, whose disabled path is a single attribute check
-before falling through to the original body.  Because the decorator uses
-``functools.wraps``, the *undecorated* bodies stay reachable as
-``method.__wrapped__`` — so :class:`BaselineSearch` below is literally the
-pre-PR code, and the comparison is honest rather than "disabled vs
-enabled".
+The ledger is the engine's one timing source; its phase blocks and
+per-tick entries run only while it is enabled.  Protocol: the fig6a
+monochromatic workload (8000 objects, 64x64 grid, IGERN), identical
+seeds so every variant sees byte-identical movement; full
+``Simulator.step`` times in a pairwise lockstep against the bare engine,
+element-wise min over alternating rounds (tick *t* does identical work
+in every round and variant, so the per-tick min discards scheduler
+noise).  Bounds: the ledger attached but disabled (the default) within
+1%, enabled within 5%, the flight recorder within 5%.
 
-Protocol: the fig6a monochromatic workload (8000 objects, 64x64 grid,
-IGERN), identical seeds so both variants see byte-identical movement;
-per-tick query times over ``TICKS`` ticks, element-wise min over
-``ROUNDS`` alternating rounds (tick *t* does identical work in every
-round and variant, so the per-tick min discards scheduler noise).  The
-acceptance bound: instrumented-but-disabled within 5% of baseline.  The
-enabled-tracing cost is reported alongside for reference (not bounded).
-
-Results land in ``benchmarks/results/obs-overhead.txt``.
+Results land in ``benchmarks/results/ledger-overhead.txt``.
 """
 
 from __future__ import annotations
@@ -26,15 +20,10 @@ import time
 import test_tick_throughput as tick_bench
 from conftest import RESULTS_DIR
 
-from repro import obs
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
-from repro.grid.search import GridSearch
 from repro.obs.ledger import QueryCostLedger
 from repro.queries import IGERNMonoQuery, QueryPosition
 
-TICKS = 50
-ROUNDS = 7
-OVERHEAD_BOUND = 0.05
 #: Cost-ledger bounds (ISSUE 6): the fully attributing ledger within 5%
 #: of the bare engine; attached-but-disabled (the default) within 1%.
 LEDGER_ENABLED_BOUND = 0.05
@@ -48,117 +37,9 @@ LEDGER_TICKS = 40
 LEDGER_ROUNDS = 5
 
 
-class BaselineSearch(GridSearch):
-    """GridSearch with the pre-PR (undecorated) search-primitive bodies."""
-
-    nearest = GridSearch.nearest.__wrapped__
-    k_nearest = GridSearch.k_nearest.__wrapped__
-    count_closer_than = GridSearch.count_closer_than.__wrapped__
-    objects_within = GridSearch.objects_within.__wrapped__
-    region_objects_by_distance = GridSearch.region_objects_by_distance.__wrapped__
-
-
-def _make_workload(search_cls):
-    """A fig6a simulator with one IGERN query using ``search_cls``."""
-    sim = build_simulator(WorkloadSpec(n_objects=8000, grid_size=64, seed=7))
-    qid = central_object(sim)
-    query = IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, query_id=qid))
-    # Swap unconditionally so both variants build identical object graphs.
-    search = search_cls(sim.grid)
-    query.search = search
-    query._algo.search = search
-    query.initial()
-    return sim, query
-
-
-def _run_lockstep(ticks: int = TICKS):
-    """Per-tick times for baseline and instrumented, measured in lockstep.
-
-    Two simulators with identical seeds advance through byte-identical
-    movement; at every tick both queries execute back to back (order
-    alternating by tick parity), so noise — frequency scaling, scheduler
-    preemption, cache pressure — hits both variants almost equally.
-    Movement is applied outside the timed regions; only ``query.tick()``
-    is measured — the per-tick CPU quantity the paper plots.
-    """
-    sim_b, query_b = _make_workload(BaselineSearch)
-    sim_i, query_i = _make_workload(GridSearch)
-    clock = time.perf_counter
-    times_b, times_i = [], []
-    for t in range(ticks):
-        for sim in (sim_b, sim_i):
-            for oid, pos in sim.generator.step(1.0):
-                sim.grid.move(oid, pos)
-        pair = [(query_b, times_b), (query_i, times_i)]
-        if t % 2:
-            pair.reverse()
-        for query, bucket in pair:
-            t0 = clock()
-            query.tick()
-            bucket.append(clock() - t0)
-    return times_b, times_i
-
-
 def _tick_floor(rounds: list) -> float:
     """Sum of element-wise minima: the noise-free cost of the tick series."""
     return sum(map(min, zip(*rounds)))
-
-
-def test_disabled_tracing_overhead_on_fig6a():
-    assert not obs.enabled(), "tracing must be off for the disabled-path run"
-
-    baseline_times = []
-    instrumented_times = []
-    for _ in range(ROUNDS):
-        times_b, times_i = _run_lockstep()
-        baseline_times.append(times_b)
-        instrumented_times.append(times_i)
-    baseline = _tick_floor(baseline_times)
-    instrumented = _tick_floor(instrumented_times)
-    overhead = instrumented / baseline - 1.0
-
-    tracer = obs.get_tracer()
-    try:
-        obs.enable(metrics=False)
-        tracer.clear()
-        sim_i, query_i = _make_workload(GridSearch)
-        clock = time.perf_counter
-        enabled_time = 0.0
-        for _ in range(TICKS):
-            for oid, pos in sim_i.generator.step(1.0):
-                sim_i.grid.move(oid, pos)
-            t0 = clock()
-            query_i.tick()
-            enabled_time += clock() - t0
-        n_spans = len(tracer.spans())
-    finally:
-        obs.disable(clear=True)
-    enabled_overhead = enabled_time / baseline - 1.0
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    report = "\n".join(
-        [
-            "observability overhead, fig6a workload"
-            " (8000 objects, 64x64 grid, IGERN mono, "
-            f"{TICKS} ticks, per-tick min over {ROUNDS} rounds)",
-            "",
-            f"  pre-PR hot path (undecorated bodies):  {baseline * 1e3:8.2f} ms",
-            f"  instrumented, tracing disabled:        {instrumented * 1e3:8.2f} ms"
-            f"  ({overhead:+.1%})",
-            f"  instrumented, tracing enabled:         {enabled_time * 1e3:8.2f} ms"
-            f"  ({enabled_overhead:+.1%}, {n_spans} spans retained)",
-            "",
-            f"  bound: disabled overhead <= {OVERHEAD_BOUND:.0%}",
-        ]
-    )
-    (RESULTS_DIR / "obs-overhead.txt").write_text(report + "\n")
-    print("\n" + report)
-
-    assert overhead <= OVERHEAD_BOUND, (
-        f"disabled-tracing overhead {overhead:.1%} exceeds "
-        f"{OVERHEAD_BOUND:.0%} (instrumented {instrumented:.4f}s "
-        f"vs baseline {baseline:.4f}s)"
-    )
 
 
 def _make_ledger_sim(ledger, flight: bool):
@@ -184,11 +65,11 @@ def _make_ledger_sim(ledger, flight: bool):
 def _run_sim_lockstep(factories, ticks: int = LEDGER_TICKS):
     """Per-tick full ``Simulator.step`` times for each configuration.
 
-    Same protocol as :func:`_run_lockstep`, but through the engine's own
-    tick loop — the ledger's cost lives in ``execute_queries`` glue and
-    the phase timers, which direct ``query.tick()`` calls never exercise.
-    Each simulator owns an identically seeded generator, so all variants
-    replay byte-identical movement.
+    Each configuration runs through the engine's own tick loop — the
+    ledger's cost lives in the ``step``/``execute_queries`` glue and the
+    phase timers.  Each simulator owns an identically seeded generator,
+    so all variants replay byte-identical movement; the order alternates
+    by tick parity so noise hits both variants almost equally.
     """
     sims = [factory() for factory in factories]
     buckets = [[] for _ in sims]
@@ -206,10 +87,9 @@ def _run_sim_lockstep(factories, ticks: int = LEDGER_TICKS):
 
 def _ledger_overhead(variant_factory):
     """Overhead of one configuration vs. the bare engine, measured as a
-    *pairwise* lockstep (two simulators alternating per tick) — the same
-    noise-cancelling protocol as :func:`_run_lockstep`; interleaving more
-    than two variants makes the interior positions systematically
-    mismeasure.  Returns ``(overhead, bare_seconds, variant_seconds)``.
+    *pairwise* lockstep (two simulators alternating per tick);
+    interleaving more than two variants makes the interior positions
+    systematically mismeasure.  Returns ``(overhead, bare_seconds, variant_seconds)``.
     """
     rounds_bare, rounds_variant = [], []
     for _ in range(LEDGER_ROUNDS):
@@ -317,21 +197,3 @@ def test_ledger_attribution_on_tick_throughput_workload():
     assert mean >= 0.90, f"mean attributed fraction {mean:.1%} below 90%"
     # Attribution must never materially exceed the measurement itself.
     assert max(fractions) <= 1.05
-
-
-def test_baseline_and_instrumented_answers_match():
-    """Swapping in the undecorated bodies changes timing only, not answers."""
-    sim_a = build_simulator(WorkloadSpec(n_objects=1000, grid_size=32, seed=3))
-    sim_b = build_simulator(WorkloadSpec(n_objects=1000, grid_size=32, seed=3))
-    qa = IGERNMonoQuery(sim_a.grid, QueryPosition(sim_a.grid, query_id=central_object(sim_a)))
-    qb = IGERNMonoQuery(sim_b.grid, QueryPosition(sim_b.grid, query_id=central_object(sim_b)))
-    search = BaselineSearch(sim_b.grid)
-    qb.search = search
-    qb._algo.search = search
-    assert qa.initial() == qb.initial()
-    for _ in range(5):
-        for oid, pos in sim_a.generator.step(1.0):
-            sim_a.grid.move(oid, pos)
-        for oid, pos in sim_b.generator.step(1.0):
-            sim_b.grid.move(oid, pos)
-        assert qa.tick() == qb.tick()

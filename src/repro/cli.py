@@ -6,9 +6,9 @@ Subcommands:
   answers (monochromatic by default, ``--bi`` for bichromatic);
 - ``igern experiment <id|all>`` — regenerate one (or every) figure of the
   paper and print its table; ``--csv DIR`` also writes CSV files;
-- ``igern obs`` — replay a workload with tracing, metrics, and the
-  per-query cost ledger enabled and print the per-phase span breakdown
-  (``--top N`` truncates it) plus a Prometheus-style snapshot;
+- ``igern obs`` — replay a workload with the per-query cost ledger and
+  metrics enabled and print the per-phase span breakdown (``--top N``
+  truncates it) plus a Prometheus-style snapshot;
 - ``igern obs explain <query>`` — replay a workload and print the cost
   ledger's account of one query at one tick (``--tick N``);
 - ``igern bench run|check`` — execute the committed benchmark workloads;
@@ -22,7 +22,7 @@ Subcommands:
 - ``igern list`` — list the available experiments.
 
 ``demo`` and ``experiment`` additionally accept ``--trace FILE`` (JSON
-lines, one object per span), ``--metrics FILE`` (Prometheus text), and
+lines, one object per ledger entry), ``--metrics FILE`` (Prometheus text), and
 ``--chrome-trace FILE`` (Chrome/Perfetto ``trace_event`` timeline) to
 capture observability data from any run.
 """
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="replay a workload with tracing on; print the phase breakdown",
+        help="replay a workload with the cost ledger on; print the phase breakdown",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=False)
     _add_obs_workload_flags(obs_cmd)
@@ -342,7 +342,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         metavar="FILE",
-        help="stream finished spans to FILE as JSON lines",
+        help="stream every cost-ledger entry of the run to FILE as JSON lines",
     )
     parser.add_argument(
         "--metrics",
@@ -356,7 +356,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         metavar="FILE",
-        help="write the span timeline as Chrome/Perfetto trace_event JSON"
+        help="write the ledger timeline as Chrome/Perfetto trace_event JSON"
         " (open in chrome://tracing or ui.perfetto.dev)",
     )
 
@@ -379,20 +379,15 @@ def _add_obs_workload_flags(parser: argparse.ArgumentParser) -> None:
 class _ObsSession:
     """Observability state for one CLI run: enable, sinks, final export.
 
-    For ``demo``/``experiment`` it activates only when ``--trace`` or
-    ``--metrics`` was given; ``igern obs`` forces it on.
+    For ``demo``/``experiment`` it activates only when ``--trace``,
+    ``--metrics`` or ``--chrome-trace`` was given; ``igern obs`` forces
+    it on.
     """
 
-    def __init__(
-        self,
-        args: argparse.Namespace,
-        force: bool = False,
-        ledger: bool = False,
-    ):
+    def __init__(self, args: argparse.Namespace, force: bool = False):
         self.trace_path = getattr(args, "trace", None)
         self.metrics_path = getattr(args, "metrics", None)
         self.chrome_path = getattr(args, "chrome_trace", None)
-        self.ledger_on = ledger
         self.active = (
             force
             or self.trace_path is not None
@@ -400,30 +395,28 @@ class _ObsSession:
             or self.chrome_path is not None
         )
         self._sink = None
-        self.tracer = None
+        self.ledger = None
         self.registry = None
         if self.active:
-            self.tracer, self.registry = obs.enable(ledger=ledger)
-            self.tracer.clear()
+            self.ledger, self.registry = obs.enable()
+            self.ledger.clear()
             self.registry.clear()
-            if ledger:
-                obs.get_ledger().clear()
             if self.trace_path is not None:
                 try:
                     self._sink = obs.JsonLinesSink(self.trace_path)
                 except OSError as exc:
                     obs.disable()
                     raise SystemExit(f"cannot open trace file: {exc}")
-                self.tracer.add_sink(self._sink)
+                self.ledger.add_sink(self._sink)
 
     def finish(self) -> None:
         """Write requested outputs and return observability to idle."""
         if not self.active:
             return
         if self._sink is not None:
-            self.tracer.remove_sink(self._sink)
+            self.ledger.remove_sink(self._sink)
             self._sink.close()
-            print(f"wrote span trace to {self.trace_path}")
+            print(f"wrote ledger trace to {self.trace_path}")
         if self.metrics_path is not None:
             try:
                 obs.write_metrics_text(self.metrics_path, self.registry)
@@ -432,11 +425,8 @@ class _ObsSession:
                 raise SystemExit(f"cannot write metrics file: {exc}")
             print(f"wrote metrics snapshot to {self.metrics_path}")
         if self.chrome_path is not None:
-            cost_ledger = obs.get_ledger() if self.ledger_on else None
             try:
-                obs.write_chrome_trace(
-                    self.chrome_path, self.tracer, ledger=cost_ledger
-                )
+                obs.write_chrome_trace(self.chrome_path, self.ledger)
             except OSError as exc:
                 obs.disable()
                 raise SystemExit(f"cannot write chrome trace file: {exc}")
@@ -569,14 +559,14 @@ def _replay_obs_workload(args: argparse.Namespace) -> Optional[str]:
 def _run_obs(args: argparse.Namespace) -> int:
     if getattr(args, "obs_command", None) == "explain":
         return _run_obs_explain(args)
-    session = _ObsSession(args, force=True, ledger=True)
+    session = _ObsSession(args, force=True)
     title = _replay_obs_workload(args)
     if title is None:
         obs.disable()
         return 2
     print(f"observability replay: {title}")
     print()
-    print(obs.summary_table(session.tracer, session.registry, top=args.top))
+    print(obs.summary_table(session.ledger, session.registry, top=args.top))
     if args.metrics is None:
         print()
         print("prometheus snapshot")
@@ -586,7 +576,7 @@ def _run_obs(args: argparse.Namespace) -> int:
 
 
 def _run_obs_explain(args: argparse.Namespace) -> int:
-    session = _ObsSession(args, force=True, ledger=True)
+    session = _ObsSession(args, force=True)
     title = _replay_obs_workload(args)
     if title is None:
         obs.disable()
@@ -600,7 +590,7 @@ def _run_obs_explain(args: argparse.Namespace) -> int:
 
 
 def _obs_demo_workload(args: argparse.Namespace) -> None:
-    """Mono and bi IGERN side by side over the same spec (traced)."""
+    """Mono and bi IGERN side by side over the same spec."""
     spec = WorkloadSpec(n_objects=args.objects, grid_size=args.grid, seed=args.seed)
     sim = build_simulator(spec)
     qid = central_object(sim)

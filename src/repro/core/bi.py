@@ -123,21 +123,13 @@ class BiIGERN:
             alive=AliveCellGrid(self.grid.size, self.grid.extent, k=self.k),
         )
         self._bind_context(state)
-        tracer = self.search.tracer
         cost = self.cost
-        with tracer.span("bi.initial"):
-            # Phase I: clip the region toward the nearest A objects.
-            with tracer.span("bi.initial.tighten") as sp, phase(
-                cost, "tighten"
-            ):
-                found = self._tighten(state, kind=SearchKind.CONSTRAINED)
-                sp.set(absorbed=found)
-            # Phase II: resolve the B objects of the alive region.
-            with tracer.span("bi.initial.verify") as sp, phase(
-                cost, "verify"
-            ):
-                answer, extra = self._verify(state)
-                sp.set(answer=len(answer), extra_absorbed=extra)
+        # Phase I: clip the region toward the nearest A objects.
+        with phase(cost, "bi.initial.tighten"):
+            found = self._tighten(state, kind=SearchKind.CONSTRAINED)
+        # Phase II: resolve the B objects of the alive region.
+        with phase(cost, "bi.initial.verify"):
+            answer, extra = self._verify(state)
         state.answer = answer
         return state, self._report(
             state, answer, is_initial=True, tightened=found + extra
@@ -152,70 +144,47 @@ class BiIGERN:
         qx, qy = qpos
         q = Point(qx, qy)
         self._bind_context(state)
-        tracer = self.search.tracer
         cost = self.cost
-        with tracer.span("bi.incremental") as root:
-            movement = self._refresh_moved(state, q)
-            if movement:
-                with tracer.span("bi.incremental.rebuild"), phase(
-                    cost, "rebuild"
-                ):
-                    self._rebuild_region(state)
-            grid = self.grid
-            if state.alive.alive_cell_bound() <= _SCAN_CELL_LIMIT:
-                # Fast path: one scan of the small monitored region serves both
-                # the Phase I tightening (absorb the A objects) and the Phase II
-                # verification (resolve the B objects).  B objects whose cells
-                # die during absorption are re-checked inside _verify, so the
-                # shared enumeration stays sound.
-                with tracer.span("bi.incremental.tighten") as sp, phase(
-                    cost, "tighten"
-                ):
-                    rows = self.search.region_objects_by_distance(
-                        q, state.alive, kind=SearchKind.BOUNDED
-                    )
-                    excluded = self._excluded_a(state)
-                    found = 0
-                    pending = []
-                    for _, oid in rows:
-                        if grid.category(oid) == self.cat_a:
-                            if oid in excluded:
-                                continue
-                            pos = grid.position(oid)
-                            if not state.alive.is_alive(grid.cell_key(pos)):
-                                continue
-                            self._absorb(state, oid)
-                            found += 1
-                        else:
-                            pending.append(oid)
-                    sp.set(absorbed=found)
-                with tracer.span("bi.incremental.prune") as sp, phase(
-                    cost, "prune"
-                ):
-                    pruned = self._prune(state) if found else 0
-                    sp.set(pruned=pruned)
-                with tracer.span("bi.incremental.verify") as sp, phase(
-                    cost, "verify"
-                ):
-                    answer, extra = self._verify(state, pending=pending)
-                    sp.set(answer=len(answer), extra_absorbed=extra)
-            else:
-                with tracer.span("bi.incremental.tighten") as sp, phase(
-                    cost, "tighten"
-                ):
-                    found = self._tighten(state, kind=SearchKind.BOUNDED)
-                    sp.set(absorbed=found)
-                with tracer.span("bi.incremental.prune") as sp, phase(
-                    cost, "prune"
-                ):
-                    pruned = self._prune(state) if found else 0
-                    sp.set(pruned=pruned)
-                with tracer.span("bi.incremental.verify") as sp, phase(
-                    cost, "verify"
-                ):
-                    answer, extra = self._verify(state)
-                    sp.set(answer=len(answer), extra_absorbed=extra)
-            root.set(movement_rebuild=movement)
+        movement = self._refresh_moved(state, q)
+        if movement:
+            with phase(cost, "bi.incremental.rebuild"):
+                self._rebuild_region(state)
+        grid = self.grid
+        if state.alive.alive_cell_bound() <= _SCAN_CELL_LIMIT:
+            # Fast path: one scan of the small monitored region serves both
+            # the Phase I tightening (absorb the A objects) and the Phase II
+            # verification (resolve the B objects).  B objects whose cells
+            # die during absorption are re-checked inside _verify, so the
+            # shared enumeration stays sound.
+            with phase(cost, "bi.incremental.tighten"):
+                rows = self.search.region_objects_by_distance(
+                    q, state.alive, kind=SearchKind.BOUNDED
+                )
+                excluded = self._excluded_a(state)
+                found = 0
+                pending = []
+                for _, oid in rows:
+                    if grid.category(oid) == self.cat_a:
+                        if oid in excluded:
+                            continue
+                        pos = grid.position(oid)
+                        if not state.alive.is_alive(grid.cell_key(pos)):
+                            continue
+                        self._absorb(state, oid)
+                        found += 1
+                    else:
+                        pending.append(oid)
+            with phase(cost, "bi.incremental.prune"):
+                pruned = self._prune(state) if found else 0
+            with phase(cost, "bi.incremental.verify"):
+                answer, extra = self._verify(state, pending=pending)
+        else:
+            with phase(cost, "bi.incremental.tighten"):
+                found = self._tighten(state, kind=SearchKind.BOUNDED)
+            with phase(cost, "bi.incremental.prune"):
+                pruned = self._prune(state) if found else 0
+            with phase(cost, "bi.incremental.verify"):
+                answer, extra = self._verify(state)
         state.answer = answer
         return self._report(
             state,

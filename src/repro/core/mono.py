@@ -121,21 +121,13 @@ class MonoIGERN:
             alive=AliveCellGrid(self.grid.size, self.grid.extent, self.k),
         )
         self._bind_context(state)
-        tracer = self.search.tracer
         cost = self.cost
-        with tracer.span("mono.initial"):
-            # Phase I: bounded region.
-            with tracer.span("mono.initial.tighten") as sp, phase(
-                cost, "tighten"
-            ):
-                found = self._tighten(state, kind=SearchKind.CONSTRAINED)
-                sp.set(absorbed=found)
-            # Phase II: verification.
-            with tracer.span("mono.initial.verify") as sp, phase(
-                cost, "verify"
-            ):
-                answer = self._verify(state)
-                sp.set(candidates=len(state.candidates), answer=len(answer))
+        # Phase I: bounded region.
+        with phase(cost, "mono.initial.tighten"):
+            found = self._tighten(state, kind=SearchKind.CONSTRAINED)
+        # Phase II: verification.
+        with phase(cost, "mono.initial.verify"):
+            answer = self._verify(state)
         state.answer = answer
         return state, self._report(state, answer, is_initial=True, tightened=found)
 
@@ -150,35 +142,21 @@ class MonoIGERN:
         qx, qy = qpos
         q = Point(qx, qy)
         self._bind_context(state)
-        tracer = self.search.tracer
         cost = self.cost
-        with tracer.span("mono.incremental") as root:
-            movement = self._refresh_moved(state, q)
-            if movement:
-                with tracer.span("mono.incremental.rebuild"), phase(
-                    cost, "rebuild"
-                ):
-                    self._rebuild_region(state)
-            # Scenario 3: objects inside the alive cells — the tightening
-            # search doubles as the existence check (its first probe).
-            with tracer.span("mono.incremental.tighten") as sp, phase(
-                cost, "tighten"
-            ):
-                found = self._tighten(state, kind=SearchKind.BOUNDED)
-                sp.set(absorbed=found)
-            pruned = 0
-            if found:
-                with tracer.span("mono.incremental.prune") as sp, phase(
-                    cost, "prune"
-                ):
-                    pruned = self._prune(state)
-                    sp.set(pruned=pruned)
-            with tracer.span("mono.incremental.verify") as sp, phase(
-                cost, "verify"
-            ):
-                answer = self._verify(state)
-                sp.set(candidates=len(state.candidates), answer=len(answer))
-            root.set(movement_rebuild=movement)
+        movement = self._refresh_moved(state, q)
+        if movement:
+            with phase(cost, "mono.incremental.rebuild"):
+                self._rebuild_region(state)
+        # Scenario 3: objects inside the alive cells — the tightening
+        # search doubles as the existence check (its first probe).
+        with phase(cost, "mono.incremental.tighten"):
+            found = self._tighten(state, kind=SearchKind.BOUNDED)
+        pruned = 0
+        if found:
+            with phase(cost, "mono.incremental.prune"):
+                pruned = self._prune(state)
+        with phase(cost, "mono.incremental.verify"):
+            answer = self._verify(state)
         state.answer = answer
         return self._report(
             state,

@@ -27,7 +27,12 @@ from repro.metric import STATS as METRIC_STATS
 from repro.obs.flight import FlightRecorder, TickDigest
 from repro.leases import LeaseState
 from repro.obs.ledger import (
+    DISPATCH,
     EVALUATED,
+    FOOTPRINT,
+    MATCHING,
+    MOVEMENT,
+    QUERY,
     REASON_DELTA_DISJOINT,
     REASON_FOOTPRINT_HIT,
     REASON_INITIAL,
@@ -38,12 +43,13 @@ from repro.obs.ledger import (
     REASON_RESUME_FORCED,
     REASON_SCHEDULER_OFF,
     SKIPPED,
+    TICK,
     QueryCostLedger,
     QueryTickCost,
     get_ledger,
+    phase,
 )
 from repro.obs.metrics import MetricsRegistry, active_registry, record_ops_delta
-from repro.obs.trace import get_tracer
 from repro.queries.base import ContinuousQuery
 
 logger = logging.getLogger(__name__)
@@ -64,7 +70,8 @@ class Simulator:
     dt:
         Simulated duration of one tick, forwarded to the generator.
     clock:
-        Time source for the per-tick wall measurements (injectable for
+        Time source for the per-tick wall measurements and every cost
+        ledger entry of this simulator's ticks (injectable for
         deterministic tests).
     extent:
         Data space of the grid index (defaults to the unit square, the
@@ -142,7 +149,6 @@ class Simulator:
         self.generator = generator
         self.dt = dt
         self.clock = clock
-        self.tracer = get_tracer()
         self.registry = registry if registry is not None else active_registry()
         self.grid = GridIndex(grid_size, extent=extent, store=store)
         for oid, pos, category in generator.initial():
@@ -366,47 +372,47 @@ class Simulator:
         the zero-cost skip path in :meth:`execute_queries`.
         """
         self.current_tick += 1
-        tracer = self.tracer
         flight = self.flight
         ledger = self.ledger
         ledger_on = ledger is not None and ledger.enabled
         if flight is not None:
             flight.before_tick(self.current_tick, self.grid)
         self._last_events = None
-        scheduler_time = 0.0
-        t0 = self.clock()
+        clock = self.clock
+        t0 = clock()
         try:
-            with tracer.span("engine.tick", tick=self.current_tick):
-                move_start = self.clock()
-                with tracer.span("engine.movement"):
-                    delta = self._apply_movement()
-                movement_time = self.clock() - move_start
-                if self.scheduler is None or delta is None:
-                    out = self.execute_queries()
+            if ledger_on:
+                ledger.begin_tick(self.current_tick)
+            delta = self._apply_movement()
+            if ledger_on:
+                ledger.add(MOVEMENT, t0, clock())
+            if self.scheduler is None or delta is None:
+                out = self.execute_queries()
+            else:
+                sched_start = clock()
+                if ledger_on:
+                    # The reason-annotated matcher costs slightly more
+                    # than the set-only one, so it runs only while the
+                    # ledger is recording.
+                    reasons = self.scheduler.affected_reasons(delta)
+                    run = set(reasons)
                 else:
-                    sched_start = self.clock()
-                    if ledger_on:
-                        # The reason-annotated matcher costs slightly
-                        # more than the set-only one, so it runs only
-                        # while the ledger is recording.
-                        reasons = self.scheduler.affected_reasons(delta)
-                        run = set(reasons)
-                    else:
-                        reasons = None
-                        run = self.scheduler.affected(delta)
-                    lease_skips = None
-                    if self.lease_mode:
-                        run, reasons, lease_skips = self._apply_leases(
-                            delta, run, reasons
-                        )
-                    scheduler_time = self.clock() - sched_start
-                    out = self.execute_queries(
-                        run=run, reasons=reasons, lease_skips=lease_skips
+                    reasons = None
+                    run = self.scheduler.affected(delta)
+                lease_skips = None
+                if self.lease_mode:
+                    run, reasons, lease_skips = self._apply_leases(
+                        delta, run, reasons
                     )
+                if ledger_on:
+                    ledger.add(MATCHING, sched_start, clock())
+                out = self.execute_queries(
+                    run=run, reasons=reasons, lease_skips=lease_skips
+                )
         except Exception as exc:
             self._poison_tick()
             if flight is not None:
-                latency = self.clock() - t0
+                latency = clock() - t0
                 digest = self._digest(latency, {})
                 moves, inserts, removes = self._last_events or (
                     None,
@@ -418,10 +424,11 @@ class Simulator:
                     self, f"exception: {type(exc).__name__}: {exc}"
                 )
             raise
-        latency = self.clock() - t0
+        end = clock()
+        latency = end - t0
         self.poisoned_tick = None
         if ledger_on:
-            ledger.end_tick(latency, movement_time, scheduler_time)
+            ledger.add(TICK, t0, end)
         if flight is not None:
             digest = self._digest(latency, out)
             moves, inserts, removes = self._last_events or (None, None, None)
@@ -695,15 +702,13 @@ class Simulator:
         queries are unaffected — they never probe.
         """
         out: Dict[str, TickMetrics] = {}
-        tracer = self.tracer
         registry = self.registry
         scheduler = self.scheduler
         batch = self.batch
         ledger = self.ledger
         ledger_on = ledger is not None and ledger.enabled
-        tick_record = None
         if ledger_on:
-            tick_record = ledger.begin_tick(self.current_tick)
+            ledger.begin_tick(self.current_tick)
             dispatch_start = self.clock()
 
         skipped: list = []
@@ -777,21 +782,16 @@ class Simulator:
                     )
                 )
 
-        if tick_record is not None:
+        if ledger_on:
             # Partitioning, batch ordering, and the skip-path bookkeeping
             # above are genuine tick cost owned by no single query.
-            tick_record.dispatch_time += self.clock() - dispatch_start
+            ledger.add(DISPATCH, dispatch_start, self.clock())
 
         for name in evaluated:
             body_start = self.clock() if ledger_on else 0.0
             query = self._queries[name]
             if batch is not None:
                 query.bind_shared_context(batch.context)
-            span = (
-                tracer.begin(f"engine.query.{name}", algo=query.name)
-                if tracer.enabled
-                else None
-            )
             cost: Optional[QueryTickCost] = None
             if ledger_on:
                 if not self._started[name]:
@@ -815,6 +815,7 @@ class Simulator:
                     tick=self.current_tick,
                     decision=EVALUATED,
                     reason=reason,
+                    clock=self.clock,
                 )
                 query.bind_cost_recorder(cost)
                 ctx = batch.context if batch is not None else None
@@ -861,14 +862,7 @@ class Simulator:
                 # Footprint re-registration is part of the price of having
                 # evaluated this query; attributing it keeps per-query
                 # walls summing to (nearly) the whole tick.
-                if cost is not None:
-                    fp_start = self.clock()
-                    scheduler.update_footprint(name, query.footprint())
-                    fp_elapsed = self.clock() - fp_start
-                    cost.phases["footprint"] = (
-                        cost.phases.get("footprint", 0.0) + fp_elapsed
-                    )
-                else:
+                with phase(cost, FOOTPRINT):
                     scheduler.update_footprint(name, query.footprint())
                 if self.lease_mode:
                     lease = getattr(
@@ -885,8 +879,6 @@ class Simulator:
                     # wholesale; a query that produced none has its
                     # stale lease dropped.
                     scheduler.update_lease(name, lease)
-            if span is not None:
-                tracer.end(span, monitored=metrics.monitored, answer=len(answer))
             if registry is not None:
                 registry.counter("queries_evaluated_total", query=name).inc()
                 self._publish(registry, name, query, metrics)
@@ -896,7 +888,9 @@ class Simulator:
                 # re-registration, and metric publication; the phase dict
                 # separates the algorithm's share, the remainder shows up
                 # as the row's unattributed glue.
-                cost.wall_time = self.clock() - body_start
+                end = self.clock()
+                cost.wall_time = end - body_start
+                ledger.add(QUERY, body_start, end, query=name)
                 ledger.record(cost)
 
         if batch is not None and evaluated:

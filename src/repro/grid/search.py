@@ -38,7 +38,6 @@ non-excluded rows examined.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ from repro.grid.alive import AliveCellGrid
 from repro.grid.cell import CellKey, cell_key_of
 from repro.grid.index import Category, GridIndex, ObjectId
 from repro.grid.store import STATS as STORE_STATS
-from repro.obs.trace import Tracer, get_tracer
 
 CellFilter = Callable[[CellKey], bool]
 ObjectFilter = Callable[[ObjectId, "PointLike"], bool]
@@ -158,54 +156,12 @@ def _excluded_slots(col, bucket, excluded) -> List[int]:
     return out
 
 
-def _traced(span_name: str, default_kind: SearchKind = SearchKind.UNCONSTRAINED):
-    """Wrap a search primitive in a per-flavor span when tracing is on.
-
-    The disabled path is one attribute check plus the wrapper call; the
-    undecorated body stays reachable as ``method.__wrapped__`` (the
-    overhead benchmark compares against it directly).  Spans carry the
-    search flavor plus the cells/objects examined by this one call.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            tracer = self.tracer
-            if not tracer.enabled:
-                return fn(self, *args, **kwargs)
-            kind = kwargs.get("kind", default_kind)
-            stats = self.stats
-            cells0 = stats.cells_visited[kind]
-            objects0 = stats.objects_examined[kind]
-            span = tracer.begin(span_name, kind=kind.name)
-            try:
-                return fn(self, *args, **kwargs)
-            finally:
-                tracer.end(
-                    span,
-                    cells=stats.cells_visited[kind] - cells0,
-                    objects=stats.objects_examined[kind] - objects0,
-                )
-
-        return wrapper
-
-    return decorate
-
-
 class GridSearch:
-    """Best-first NN search over a :class:`GridIndex`.
+    """Best-first NN search over a :class:`GridIndex`."""
 
-    ``tracer`` defaults to the process-wide tracer of :mod:`repro.obs`;
-    while it is disabled (the default) the search primitives run their
-    original uninstrumented bodies behind a single flag check.
-    """
-
-    def __init__(
-        self, grid: GridIndex, tracer: Optional[Tracer] = None, metric=None
-    ):
+    def __init__(self, grid: GridIndex, metric=None):
         self.grid = grid
         self.stats = SearchStats()
-        self.tracer = tracer if tracer is not None else get_tracer()
         # Distance backend seam (repro.metric).  None means Euclidean:
         # every kernel in this module compares squared straight-line
         # distances, which is only the metric's distance for Euclidean
@@ -253,7 +209,6 @@ class GridSearch:
     # Core search
     # ------------------------------------------------------------------
 
-    @_traced("grid.search.nearest")
     def nearest(
         self,
         q: Iterable[float],
@@ -406,7 +361,6 @@ class GridSearch:
             return None
         return (best_id, math.sqrt(best_d2))
 
-    @_traced("grid.search.k_nearest")
     def k_nearest(
         self,
         q: Iterable[float],
@@ -465,7 +419,6 @@ class GridSearch:
         ordered = sorted(((-negd2, oid) for negd2, oid in best))
         return [(oid, math.sqrt(d2)) for d2, oid in ordered]
 
-    @_traced("grid.search.count_closer_than")
     def count_closer_than(
         self,
         center: Iterable[float],
@@ -664,7 +617,6 @@ class GridSearch:
         predicates.STATS.filter_hits += fast_hits
         return count
 
-    @_traced("grid.search.witnesses_closer_than")
     def witnesses_closer_than(
         self,
         center: Iterable[float],
@@ -935,7 +887,6 @@ class GridSearch:
                     if nd2 <= r2:
                         heapq.heappush(heap, (nd2, nkey))
 
-    @_traced("grid.search.objects_within")
     def objects_within(
         self,
         center: Iterable[float],
@@ -1045,7 +996,6 @@ class GridSearch:
     # Region scans
     # ------------------------------------------------------------------
 
-    @_traced("grid.search.region_scan", default_kind=SearchKind.BOUNDED)
     def region_objects_by_distance(
         self,
         q: Iterable[float],

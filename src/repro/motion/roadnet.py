@@ -119,6 +119,11 @@ class RoadNetwork:
         self._sorted_edges: List[Tuple[int, int, float]] = sorted(
             (min(u, v), max(u, v), length) for u, v, length in self.edges()
         )
+        # (u, v) -> length with u < v: the edge keys :meth:`locate`
+        # returns, read by :meth:`point_to_point` without networkx.
+        self._edge_lengths: Dict[Tuple[int, int], float] = {
+            (u, v): length for u, v, length in self._sorted_edges
+        }
         self._init_memos()
 
     def _init_memos(self) -> None:
@@ -295,8 +300,8 @@ class RoadNetwork:
         """
         ua, va, off_a, spur_a = loc_a
         ub, vb, off_b, spur_b = loc_b
-        len_a = self.edge_length(ua, va)
-        len_b = self.edge_length(ub, vb)
+        len_a = self._edge_lengths[ua, va]
+        len_b = self._edge_lengths[ub, vb]
         route = math.inf
         if ua == ub and va == vb:
             route = abs(off_a - off_b)

@@ -1,26 +1,24 @@
-"""Observability: hierarchical span tracing, metrics, and exporters.
+"""Observability: the cost ledger, metrics, exporters, flight recorder.
 
 The paper's evaluation is a story about *where time and work go* — per-tick
 CPU (Figures 6a/7a/8a/9a), monitored-object counts (6b/8b), cells visited
 per search kind (the Section 6 cost model).  This package makes those
 quantities first-class and visible *inside* a tick:
 
-- :mod:`repro.obs.trace` — a lightweight hierarchical span tracer.  Code
-  wraps phases in ``tracer.span("mono.incremental.verify")`` blocks; spans
-  carry wall time and op-count attributes and land in a bounded ring
-  buffer.  Tracing is **off by default** and the disabled fast path is a
-  single attribute check, so instrumented hot paths stay hot.
+- :mod:`repro.obs.ledger` — the per-query cost ledger and the engine's
+  one timing source: every tick's timed entries (movement, matching,
+  dispatch, each evaluated query and its algorithm phases, all on the
+  simulator's clock) plus per-query search work, shared-context hits and
+  exact-predicate fallbacks, with skip/evaluate decisions recorded under
+  machine-readable reasons.  ``igern obs explain <query>`` renders one
+  record.  The ledger is **off by default**; the disabled path is one
+  attribute check per tick and a shared no-op per phase.
 - :mod:`repro.obs.metrics` — a dependency-free registry of counters,
   gauges, and fixed-bucket histograms.  It absorbs and generalizes the
   per-search-kind :class:`repro.grid.search.SearchStats` counters.
-- :mod:`repro.obs.export` — JSON-lines span events, a Prometheus-style
-  text snapshot, Chrome/Perfetto trace timelines, and a human
-  ``summary()`` table.
-- :mod:`repro.obs.ledger` — the per-query cost ledger: every tick's wall
-  time, search work, shared-context hits, and exact-predicate fallbacks
-  attributed to ``(query, phase)``, with skip/evaluate decisions recorded
-  under machine-readable reasons.  ``igern obs explain <query>`` renders
-  one record.
+- :mod:`repro.obs.export` — JSON-lines ledger entries, a
+  Prometheus-style text snapshot, Chrome/Perfetto trace timelines, and
+  a human ``summary()`` table.
 - :mod:`repro.obs.flight` — the always-on tick flight recorder: a bounded
   digest ring that, on anomaly, freezes the recent window into a
   replayable fuzz-format incident bundle.
@@ -31,7 +29,7 @@ Quickstart::
 
     obs.enable()
     ... run queries ...
-    print(obs.summary())          # per-phase span breakdown + metrics
+    print(obs.summary())          # per-phase breakdown + metrics
     obs.disable()
 
 The CLI exposes the same flow as ``igern obs`` and via ``--trace FILE`` /
@@ -44,17 +42,15 @@ from typing import Optional, Tuple
 
 from repro.obs.export import (
     JsonLinesSink,
+    chrome_trace,
     prometheus_text,
-    spans_from_jsonl,
-    spans_to_chrome_trace,
-    spans_to_jsonl,
     summary_table,
     write_chrome_trace,
     write_metrics_text,
-    write_spans_jsonl,
 )
 from repro.obs.flight import FlightRecorder, TickDigest
 from repro.obs.ledger import (
+    Entry,
     QueryCostLedger,
     QueryTickCost,
     TickRecord,
@@ -72,14 +68,8 @@ from repro.obs.metrics import (
     install_registry,
     uninstall_registry,
 )
-from repro.obs.trace import NULL_SPAN, Span, SpanAggregate, Tracer, get_tracer
 
 __all__ = [
-    "Tracer",
-    "Span",
-    "SpanAggregate",
-    "NULL_SPAN",
-    "get_tracer",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -91,13 +81,11 @@ __all__ = [
     "absorb_search_stats",
     "JsonLinesSink",
     "prometheus_text",
-    "spans_to_jsonl",
-    "spans_from_jsonl",
-    "spans_to_chrome_trace",
+    "chrome_trace",
     "write_chrome_trace",
     "summary_table",
-    "write_spans_jsonl",
     "write_metrics_text",
+    "Entry",
     "QueryCostLedger",
     "QueryTickCost",
     "TickRecord",
@@ -113,47 +101,42 @@ __all__ = [
 
 
 def enable(
-    trace: bool = True, metrics: bool = True, ledger: bool = False
-) -> Tuple[Tracer, Optional[MetricsRegistry]]:
-    """Turn observability on: the global tracer and the global registry.
+    ledger: bool = True, metrics: bool = True
+) -> Tuple[QueryCostLedger, Optional[MetricsRegistry]]:
+    """Turn observability on: the global cost ledger and registry.
 
-    Returns ``(tracer, registry)`` so callers can attach sinks or inspect
-    collected data.  ``metrics=True`` installs the global registry as the
-    *active* one, which engine components pick up at construction time.
-    ``ledger=True`` additionally enables the global per-query cost ledger
-    (simulators pick it up by default; recording only happens while it is
-    enabled).
+    Returns ``(ledger, registry)`` so callers can attach sinks or inspect
+    collected data.  ``ledger=True`` enables the global ledger, the one
+    timing source (simulators pick it up by default; recording only
+    happens while it is enabled).  ``metrics=True`` installs the global
+    registry as the *active* one, which engine components pick up at
+    construction time.
     """
-    tracer = get_tracer()
-    if trace:
-        tracer.enable()
+    cost_ledger = get_ledger()
+    if ledger:
+        cost_ledger.enable()
     registry = None
     if metrics:
         registry = get_registry()
         install_registry(registry)
-    if ledger:
-        get_ledger().enable()
-    return tracer, registry
+    return cost_ledger, registry
 
 
 def disable(clear: bool = False) -> None:
-    """Turn tracing, metric collection, and the cost ledger off
-    (optionally dropping collected data)."""
-    tracer = get_tracer()
-    tracer.disable()
+    """Turn the cost ledger and metric collection off (optionally
+    dropping collected data)."""
     uninstall_registry()
     get_ledger().disable()
     if clear:
-        tracer.clear()
         get_registry().clear()
         get_ledger().clear()
 
 
 def enabled() -> bool:
-    """Whether the global tracer is currently recording."""
-    return get_tracer().enabled
+    """Whether the global cost ledger is currently recording."""
+    return get_ledger().enabled
 
 
 def summary() -> str:
-    """Human-readable table over the global tracer and registry."""
-    return summary_table(get_tracer(), get_registry())
+    """Human-readable table over the global ledger and registry."""
+    return summary_table(get_ledger(), get_registry())

@@ -1,81 +1,42 @@
-"""Exporters: JSON-lines spans, Prometheus text, Chrome trace, summary.
+"""Exporters: JSON-lines entries, Prometheus text, Chrome trace, summary.
 
-Four consumers, four formats:
+Four consumers, four formats, all rendered from the cost ledger's timed
+entries (:mod:`repro.obs.ledger`) and the metrics registry:
 
-- machines replaying a trace → :func:`spans_to_jsonl` /
-  :class:`JsonLinesSink` (one JSON object per finished span), parsed
-  back by :func:`spans_from_jsonl`;
+- machines replaying a run → :class:`JsonLinesSink`, a ledger sink
+  writing one JSON object per entry as it is filed;
 - scrapers → :func:`prometheus_text` (the Prometheus exposition format,
   produced without any dependency, label values escaped per spec);
 - timeline viewers (``chrome://tracing``, Perfetto) →
-  :func:`spans_to_chrome_trace`, optionally with per-query cost-ledger
-  rows as counter tracks;
-- humans → :func:`summary_table` (per-phase span breakdown sorted by
-  *self* time plus a metric listing, the output of ``igern obs``).
+  :func:`chrome_trace`: every retained entry as a duration event, plus
+  per-query counter tracks;
+- humans → :func:`summary_table` (entries grouped by name and sorted by
+  *self* time, search work per flavor, and a metric listing — the
+  output of ``igern obs``).
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import IO, Dict, Iterable, List, Optional, Union
 
+from repro.obs.ledger import Entry, QueryCostLedger, TickRecord
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import Span, Tracer
-
 
 # ----------------------------------------------------------------------
 # JSON lines
 # ----------------------------------------------------------------------
 
 
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """One compact JSON object per span, newline separated."""
-    return "\n".join(json.dumps(s.to_dict(), separators=(",", ":")) for s in spans)
-
-
-def write_spans_jsonl(path: Union[str, Path], tracer: Tracer) -> Path:
-    """Dump the tracer's retained spans to a JSON-lines file."""
-    path = Path(path)
-    text = spans_to_jsonl(tracer.spans())
-    path.write_text(text + "\n" if text else "")
-    return path
-
-
-def span_from_dict(data: dict) -> Span:
-    """Rebuild a (detached) :class:`Span` from its exported dict form.
-
-    The inverse of :meth:`Span.to_dict` up to float re-derivation: the
-    span's ``end`` is reconstructed as ``start + duration``, so one
-    parse/re-export cycle normalizes the duration to ``(start + duration)
-    - start`` and is idempotent afterwards.  The returned span has no
-    tracer — it is data, not an open measurement.
-    """
-    span = Span(None, data["name"], dict(data.get("attrs") or {}) or None)
-    span.start = float(data["start"])
-    span.end = span.start + float(data["duration"])
-    span.depth = int(data.get("depth", 0))
-    span.parent = data.get("parent")
-    return span
-
-
-def spans_from_jsonl(text: str) -> List[Span]:
-    """Parse a JSON-lines span export back into detached spans."""
-    return [
-        span_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
 class JsonLinesSink:
-    """A live span sink streaming JSON lines to a file.
+    """A ledger sink streaming entries to a file as JSON lines.
 
-    Attach with ``tracer.add_sink(sink)``; spans are written as they
-    finish, so the file is useful even if the process dies mid-run.
-    Accepts a path (opened and owned, close with :meth:`close`) or any
-    writable text file object (borrowed).
+    Attach with ``ledger.add_sink(sink)``; entries are written as they
+    are filed, so the file holds every entry of the run — also those of
+    ticks the ledger's ring has dropped — and is useful even if the
+    process dies mid-run.  Accepts a path (opened and owned, close with
+    :meth:`close`) or any writable text file object (borrowed).
     """
 
     def __init__(self, target: Union[str, Path, IO[str]]):
@@ -86,8 +47,8 @@ class JsonLinesSink:
             self._file = target
             self._owns = False
 
-    def __call__(self, span: Span) -> None:
-        self._file.write(json.dumps(span.to_dict(), separators=(",", ":")) + "\n")
+    def __call__(self, entry: Entry) -> None:
+        self._file.write(json.dumps(entry._asdict(), separators=(",", ":")) + "\n")
 
     def close(self) -> None:
         self._file.flush()
@@ -176,74 +137,68 @@ def write_metrics_text(path: Union[str, Path], registry: MetricsRegistry) -> Pat
 # ----------------------------------------------------------------------
 
 
-def spans_to_chrome_trace(
-    spans: Iterable[Span], ledger=None, pid: int = 1
-) -> dict:
-    """The span ring as a Chrome ``trace_event`` document.
+def chrome_trace(ledger: QueryCostLedger, pid: int = 1) -> dict:
+    """The ledger's retained ticks as a Chrome ``trace_event`` document.
 
-    Every finished span becomes a complete duration event (``ph: "X"``,
-    timestamps in microseconds of ``time.perf_counter``), loadable in
-    ``chrome://tracing`` or https://ui.perfetto.dev.  With a
-    :class:`repro.obs.ledger.QueryCostLedger`, each retained tick adds
-    counter events (``ph: "C"``) — per-query wall time and cells visited
-    — rendered as stacked counter tracks under the span timeline.
+    Every entry becomes a complete duration event (``ph: "X"``,
+    timestamps in microseconds of the simulator's clock, ``args``
+    carrying the tick and, for query entries, the query), loadable in
+    ``chrome://tracing`` or https://ui.perfetto.dev.  Each tick with an
+    evaluation also adds counter events (``ph: "C"``) — per-query wall
+    time and cells visited — rendered as stacked counter tracks under
+    the timeline.
     """
     events: List[dict] = []
-    for span in spans:
-        event = {
-            "name": span.name,
-            "cat": "span",
-            "ph": "X",
-            "ts": span.start * 1e6,
-            "dur": span.duration * 1e6,
-            "pid": pid,
-            "tid": 1,
-        }
-        if span.attrs:
-            event["args"] = dict(span.attrs)
-        events.append(event)
-    if ledger is not None:
-        for record in ledger.records():
-            evaluated = record.evaluated()
-            if not evaluated:
-                continue
-            ts = record.started * 1e6
+    for record in ledger.records():
+        for entry in record.entries:
+            args: Dict[str, object] = {"tick": entry.tick}
+            if entry.query is not None:
+                args["query"] = entry.query
             events.append(
                 {
-                    "name": "ledger.query_wall_us",
+                    "name": entry.name,
                     "cat": "ledger",
-                    "ph": "C",
-                    "ts": ts,
+                    "ph": "X",
+                    "ts": entry.start * 1e6,
+                    "dur": entry.duration * 1e6,
                     "pid": pid,
-                    "args": {
-                        c.query: round(c.wall_time * 1e6, 3)
-                        for c in evaluated
-                    },
+                    "tid": 1,
+                    "args": args,
                 }
             )
-            events.append(
-                {
-                    "name": "ledger.cells_visited",
-                    "cat": "ledger",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": pid,
-                    "args": {c.query: c.cells_visited for c in evaluated},
-                }
-            )
+        evaluated = record.evaluated()
+        if not evaluated:
+            continue
+        ts = record.started * 1e6
+        events.append(
+            {
+                "name": "ledger.query_wall_us",
+                "cat": "ledger",
+                "ph": "C",
+                "ts": ts,
+                "pid": pid,
+                "args": {
+                    c.query: round(c.wall_time * 1e6, 3) for c in evaluated
+                },
+            }
+        )
+        events.append(
+            {
+                "name": "ledger.cells_visited",
+                "cat": "ledger",
+                "ph": "C",
+                "ts": ts,
+                "pid": pid,
+                "args": {c.query: c.cells_visited for c in evaluated},
+            }
+        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    path: Union[str, Path], tracer: Tracer, ledger=None
-) -> Path:
-    """Write the tracer's retained spans (plus optional ledger counter
-    tracks) as a Chrome trace JSON file."""
+def write_chrome_trace(path: Union[str, Path], ledger: QueryCostLedger) -> Path:
+    """Write :func:`chrome_trace` of the ledger as a JSON file."""
     path = Path(path)
-    path.write_text(
-        json.dumps(spans_to_chrome_trace(tracer.spans(), ledger=ledger))
-        + "\n"
-    )
+    path.write_text(json.dumps(chrome_trace(ledger)) + "\n")
     return path
 
 
@@ -260,113 +215,158 @@ def _fmt_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:8.1f}us"
 
 
-def _self_times(tracer: Tracer, prefix: Optional[str]) -> Dict[str, float]:
-    """Per-span-name *self* time: total minus time inside child spans.
+def _span_rows(
+    records: Iterable[TickRecord], prefix: Optional[str]
+) -> Dict[str, List[float]]:
+    """Per-entry-name ``[count, total, self, max]`` seconds.
 
-    Children are attributed by parent name over the whole retained ring
-    (not just the prefix-filtered view), so a filtered table still ranks
-    by genuine self time.
+    An entry's self time is its duration minus that of the entries
+    directly inside it, nesting read from the intervals of each record
+    (phases inside their query, queries inside their tick).  Children
+    are subtracted over every entry, so a prefix-filtered table still
+    ranks by genuine self time.
     """
-    totals: Dict[str, float] = {}
-    child_time: Dict[str, float] = {}
-    for span in tracer.spans():
-        totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        if span.parent is not None:
-            child_time[span.parent] = (
-                child_time.get(span.parent, 0.0) + span.duration
-            )
+    rows: Dict[str, List[float]] = {}
+    for record in records:
+        stack: List[Entry] = []
+        for entry in sorted(record.entries, key=lambda e: (e.start, -e.end)):
+            while stack and stack[-1].end < entry.end:
+                stack.pop()
+            duration = entry.duration
+            row = rows.setdefault(entry.name, [0, 0.0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += duration
+            row[2] += duration
+            row[3] = max(row[3], duration)
+            if stack:
+                rows[stack[-1].name][2] -= duration
+            stack.append(entry)
     return {
-        name: max(0.0, total - child_time.get(name, 0.0))
-        for name, total in totals.items()
+        name: row
+        for name, row in rows.items()
         if prefix is None or name.startswith(prefix)
     }
 
 
-def _skip_reasons(registry: MetricsRegistry) -> Dict[str, float]:
-    """``ticks_skipped_total`` rolled up by its ``reason`` label."""
-    out: Dict[str, float] = {}
+def _span_section(
+    ledger: QueryCostLedger, prefix: Optional[str], top: Optional[int]
+) -> str:
+    rows = _span_rows(ledger.records(), prefix)
+    ranked = sorted(rows, key=lambda name: (-rows[name][2], name))
+    shown = ranked if top is None else ranked[: max(top, 0)]
+    lines = ["spans (per-phase breakdown, hottest self time first)"]
+    if shown:
+        lines.append(
+            f"  {'span':<34} {'count':>7} {'total':>10} {'self':>10}"
+            f" {'mean':>10} {'max':>10}"
+        )
+        for name in shown:
+            count, total, self_time, longest = rows[name]
+            lines.append(
+                f"  {name:<34} {count:>7}"
+                f" {_fmt_seconds(total):>10}"
+                f" {_fmt_seconds(max(0.0, self_time)):>10}"
+                f" {_fmt_seconds(total / count):>10}"
+                f" {_fmt_seconds(longest):>10}"
+            )
+        if len(ranked) > len(shown):
+            lines.append(f"  ... {len(ranked) - len(shown)} more span name(s)")
+    elif ranked:
+        lines.append(f"  (all {len(ranked)} rows hidden by --top)")
+    else:
+        lines.append("  (no spans recorded — was the ledger enabled?)")
+    return "\n".join(lines)
+
+
+#: The registry's search counters, in the column order of the search table.
+_SEARCH_COUNTERS = (
+    "search_calls_total",
+    "search_cells_visited_total",
+    "search_objects_examined_total",
+)
+
+
+def _search_section(registry: MetricsRegistry) -> Optional[str]:
+    """Calls, cells visited and objects examined per search flavor (the
+    Section 6 cost model), summed over every other label."""
+    work: Dict[str, List[float]] = {}
     for metric in registry.collect():
-        if metric.name != "ticks_skipped_total" or not isinstance(
-            metric, Counter
-        ):
-            continue
-        reason = dict(metric.labels).get("reason", "(unlabeled)")
-        out[reason] = out.get(reason, 0) + metric.value
-    return out
+        if metric.name in _SEARCH_COUNTERS:
+            flavor = dict(metric.labels).get("kind", "(unlabeled)")
+            row = work.setdefault(flavor, [0, 0, 0])
+            row[_SEARCH_COUNTERS.index(metric.name)] += metric.value
+    if not work:
+        return None
+    lines = [
+        "search work per flavor",
+        f"  {'search':<34} {'calls':>10} {'cells':>10} {'objects':>10}",
+    ]
+    for flavor in sorted(work):
+        name = "grid.search." + flavor.lower()
+        lines.append(
+            f"  {name:<34}"
+            + "".join(f" {_fmt_value(value):>10}" for value in work[flavor])
+        )
+    return "\n".join(lines)
+
+
+def _skip_section(registry: MetricsRegistry) -> Optional[str]:
+    """``ticks_skipped_total`` rolled up by its ``reason`` label."""
+    reasons: Dict[str, float] = {}
+    for metric in registry.collect():
+        if metric.name == "ticks_skipped_total" and isinstance(metric, Counter):
+            reason = dict(metric.labels).get("reason", "(unlabeled)")
+            reasons[reason] = reasons.get(reason, 0) + metric.value
+    if not reasons:
+        return None
+    return "\n".join(
+        ["scheduler skips by reason"]
+        + [f"  {reason}: {_fmt_value(reasons[reason])}" for reason in sorted(reasons)]
+    )
+
+
+def _metrics_section(registry: MetricsRegistry) -> str:
+    lines = ["metrics"]
+    for metric in registry.collect():
+        labels = (
+            "{" + ", ".join(f"{k}={v}" for k, v in metric.labels) + "}"
+            if metric.labels
+            else ""
+        )
+        if isinstance(metric, Histogram):
+            lines.append(
+                f"  {metric.name}{labels}: count={metric.count}"
+                f" mean={_fmt_seconds(metric.mean).strip()}"
+                f" p50={_fmt_seconds(metric.percentile(50)).strip()}"
+                f" p95={_fmt_seconds(metric.percentile(95)).strip()}"
+            )
+        elif isinstance(metric, (Counter, Gauge)):
+            lines.append(f"  {metric.name}{labels}: {_fmt_value(metric.value)}")
+    if len(lines) == 1:
+        lines.append("  (no metrics recorded)")
+    return "\n".join(lines)
 
 
 def summary_table(
-    tracer: Optional[Tracer] = None,
+    ledger: Optional[QueryCostLedger] = None,
     registry: Optional[MetricsRegistry] = None,
     prefix: Optional[str] = None,
     top: Optional[int] = None,
 ) -> str:
-    """Per-phase span breakdown plus metric listing, for terminals.
+    """Per-phase span breakdown, search work and metrics, for terminals.
 
-    Span rows are grouped by name (count, total, self, mean, max) and
-    sorted by **self time** descending (ties broken by name, so the
-    order is deterministic) — the "where does the tick go" table without
-    parents double-counting their children.  ``prefix`` restricts the
-    span section (e.g. ``"mono."``); ``top`` truncates it to the N
-    hottest rows so large runs stay readable.
+    Span rows group the ledger's retained entries by name (count, total,
+    self, mean, max) and sort by **self time** descending (ties broken by
+    name, so the order is deterministic) — the "where does the tick go"
+    table without parents double-counting their children.  ``prefix``
+    restricts the span section (e.g. ``"mono."``); ``top`` truncates it
+    to the N hottest rows so large runs stay readable.
     """
-    out = io.StringIO()
-    if tracer is not None:
-        self_times = _self_times(tracer, prefix)
-        aggs = sorted(
-            tracer.aggregate(prefix).values(),
-            key=lambda a: (-self_times.get(a.name, 0.0), a.name),
-        )
-        shown = aggs if top is None else aggs[: max(top, 0)]
-        out.write("spans (per-phase breakdown, hottest self time first)\n")
-        if shown:
-            out.write(
-                f"  {'span':<34} {'count':>7} {'total':>10} {'self':>10}"
-                f" {'mean':>10} {'max':>10}\n"
-            )
-            for agg in shown:
-                out.write(
-                    f"  {agg.name:<34} {agg.count:>7}"
-                    f" {_fmt_seconds(agg.total):>10}"
-                    f" {_fmt_seconds(self_times.get(agg.name, 0.0)):>10}"
-                    f" {_fmt_seconds(agg.mean):>10}"
-                    f" {_fmt_seconds(agg.max):>10}\n"
-                )
-            if len(aggs) > len(shown):
-                out.write(f"  ... {len(aggs) - len(shown)} more span name(s)\n")
-        elif aggs:
-            out.write(f"  (all {len(aggs)} rows hidden by --top)\n")
-        else:
-            out.write("  (no spans recorded — is tracing enabled?)\n")
+    sections: List[Optional[str]] = []
+    if ledger is not None:
+        sections.append(_span_section(ledger, prefix, top))
     if registry is not None:
-        reasons = _skip_reasons(registry)
-        if reasons:
-            if tracer is not None:
-                out.write("\n")
-            out.write("scheduler skips by reason\n")
-            for reason in sorted(reasons):
-                out.write(f"  {reason}: {_fmt_value(reasons[reason])}\n")
-    if registry is not None:
-        metrics = list(registry.collect())
-        if tracer is not None:
-            out.write("\n")
-        out.write("metrics\n")
-        if metrics:
-            for metric in metrics:
-                labels = (
-                    "{" + ", ".join(f"{k}={v}" for k, v in metric.labels) + "}"
-                    if metric.labels
-                    else ""
-                )
-                if isinstance(metric, Histogram):
-                    out.write(
-                        f"  {metric.name}{labels}: count={metric.count}"
-                        f" mean={_fmt_seconds(metric.mean).strip()}"
-                        f" p50={_fmt_seconds(metric.percentile(50)).strip()}"
-                        f" p95={_fmt_seconds(metric.percentile(95)).strip()}\n"
-                    )
-                elif isinstance(metric, (Counter, Gauge)):
-                    out.write(f"  {metric.name}{labels}: {_fmt_value(metric.value)}\n")
-        else:
-            out.write("  (no metrics recorded)\n")
-    return out.getvalue().rstrip("\n")
+        sections.append(_search_section(registry))
+        sections.append(_skip_section(registry))
+        sections.append(_metrics_section(registry))
+    return "\n\n".join(section for section in sections if section is not None)

@@ -1,12 +1,28 @@
 """Per-query, per-phase cost attribution: the tick cost ledger.
 
-The tracer answers *where does time go globally* (span aggregates across
-the whole run); the ledger answers the paper's per-query questions: which
-query consumed this tick, on which algorithm phase, probing how many
-cells — and, just as important, *why* the scheduler decided to evaluate
-or skip it.  Every tick produces one :class:`TickRecord` holding one
-:class:`QueryTickCost` per (non-paused) registered query, with the
-skip/evaluate decision recorded as a machine-readable reason code.
+The ledger is the engine's one timing source.  Every tick produces one
+:class:`TickRecord` holding
+
+- timed :class:`Entry` rows — the tick, its movement, footprint
+  matching and dispatch, each evaluated query's wall, and that query's
+  algorithm phases — all read from one clock (the simulator's), so a
+  phase entry lies inside its query's entry and a query entry inside
+  its tick;
+- one :class:`QueryTickCost` per (non-paused) registered query: wall
+  time, per-phase totals, search counters, and *why* the scheduler
+  decided to evaluate or skip it, as a machine-readable reason code.
+
+The entries feed the ``--trace`` JSON lines, the Chrome trace and the
+``igern obs`` span table (:mod:`repro.obs.export`); the cost rows feed
+``igern obs explain``.
+
+Entry names (the complete vocabulary, also in ``docs/OBSERVABILITY.md``):
+the engine-level :data:`TICK`, :data:`MOVEMENT`, :data:`MATCHING`,
+:data:`DISPATCH` and :data:`QUERY`, and per-query phases named
+``<algorithm>.<step>.<phase>`` (``mono.incremental.verify``) or
+``<baseline>.<step>`` (``crnn.pies``), plus :data:`FOOTPRINT`.  A
+phase's last dotted component (``verify``) keys
+:attr:`QueryTickCost.phases`.
 
 Decision reasons (the complete vocabulary, also in
 ``docs/OBSERVABILITY.md``):
@@ -32,22 +48,21 @@ Decision reasons (the complete vocabulary, also in
 
 The ledger is **off by default**.  Its disabled footprint inside the
 engine is one ``is None``/``enabled`` check per tick plus a handful of
-no-op phase calls per query execution (:func:`phase` returns the shared
-``NULL_SPAN``); the enabled cost is bounded by
-``benchmarks/test_obs_overhead.py``.  Like the tracer, a process-global
-instance (:func:`get_ledger`) is shared by every simulator unless one is
+no-op phase calls per query execution (:func:`phase` returns a shared
+no-op context manager); the enabled cost is bounded by
+``benchmarks/test_obs_overhead.py``.  A process-global instance
+(:func:`get_ledger`) is shared by every simulator unless one is
 injected explicitly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
-
-from repro.obs.trace import NULL_SPAN
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 #: Decision labels.
 EVALUATED = "evaluated"
@@ -68,6 +83,42 @@ REASON_SCHEDULER_OFF = "scheduler-off"
 REASON_LEASE_HELD = "lease-held"
 REASON_LEASE_BROKEN = "lease-broken"
 REASON_LEASE_NONE = "lease-none"
+
+#: Engine-level entry names: the whole tick, applying movement to the
+#: grid, footprint matching, dispatch glue, and one query's evaluation.
+TICK = "engine.tick"
+MOVEMENT = "engine.movement"
+MATCHING = "engine.matching"
+DISPATCH = "engine.dispatch"
+QUERY = "engine.query"
+#: The footprint re-registration after an evaluation, a query phase.
+FOOTPRINT = "engine.footprint"
+
+#: Engine-level entry name -> the :class:`TickRecord` total it adds to.
+_TOTALS = {
+    TICK: "total_time",
+    MOVEMENT: "movement_time",
+    MATCHING: "scheduler_time",
+    DISPATCH: "dispatch_time",
+}
+
+
+class Entry(NamedTuple):
+    """One timed piece of a tick, in the simulator clock's seconds.
+
+    ``query`` names the query an evaluation or phase entry belongs to
+    (``None`` for engine-level entries).
+    """
+
+    name: str
+    query: Optional[str]
+    tick: int
+    start: float
+    end: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 @dataclass
@@ -101,6 +152,14 @@ class QueryTickCost:
     store_rows: int = 0
     answer_size: int = 0
     monitored: int = 0
+    #: The phase entries :func:`phase` timed, filed into the tick record
+    #: by :meth:`QueryCostLedger.record`.
+    entries: List[Entry] = field(default_factory=list, repr=False)
+    #: The clock :func:`phase` reads: the simulator's, bound when it
+    #: opens the row, so phases share the timeline of their query.
+    clock: Callable[[], float] = field(
+        default=time.perf_counter, repr=False, compare=False
+    )
 
     def absorb_ops(self, ops: Dict[str, int]) -> None:
         """Fold a ``diff_ops``-style search-counter delta into this cost."""
@@ -125,44 +184,53 @@ class QueryTickCost:
 
 
 class _PhaseTimer:
-    """Context manager accumulating wall time into ``phases[name]``."""
+    """Context manager timing one phase entry into a cost row."""
 
-    __slots__ = ("_phases", "_name", "_start")
+    __slots__ = ("_cost", "_name", "_start")
 
-    def __init__(self, phases: Dict[str, float], name: str):
-        self._phases = phases
+    def __init__(self, cost: QueryTickCost, name: str):
+        self._cost = cost
         self._name = name
 
     def __enter__(self) -> "_PhaseTimer":
-        self._start = time.perf_counter()
+        self._start = self._cost.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        phases = self._phases
-        phases[self._name] = phases.get(self._name, 0.0) + elapsed
+        cost = self._cost
+        end = cost.clock()
+        name = self._name
+        key = name.rpartition(".")[2]
+        phases = cost.phases
+        phases[key] = phases.get(key, 0.0) + (end - self._start)
+        cost.entries.append(Entry(name, cost.query, cost.tick, self._start, end))
         return False
 
 
-def phase(cost: Optional[QueryTickCost], name: str):
-    """Time one algorithm phase into ``cost``; no-op when ``cost`` is None.
+_NO_PHASE = contextlib.nullcontext()
 
-    The disabled path (no recorder bound — the overwhelmingly common
-    case) returns the shared ``NULL_SPAN``, so instrumented call sites
-    cost one function call and one ``is None`` check.
+
+def phase(cost: Optional[QueryTickCost], name: str):
+    """Time phase ``name`` into ``cost``; a no-op when ``cost`` is None.
+
+    The disabled path (no cost row bound — the overwhelmingly common
+    case) returns one shared no-op context manager, so instrumented call
+    sites cost one function call and one ``is None`` check.
     """
     if cost is None:
-        return NULL_SPAN
-    return _PhaseTimer(cost.phases, name)
+        return _NO_PHASE
+    return _PhaseTimer(cost, name)
 
 
 @dataclass
 class TickRecord:
-    """The ledger's view of one tick: every query's cost plus tick totals.
+    """The ledger's view of one tick: its timed entries, every query's
+    cost, and tick totals.
 
-    ``total_time`` / ``movement_time`` are filled by the simulator at the
-    end of the tick (``None`` for execution outside :meth:`Simulator.step`,
-    e.g. the tick-0 initial pass, where no enclosing measurement exists).
+    The totals are sums of the engine-level entries: ``total_time`` of
+    :data:`TICK` (``None`` for execution outside :meth:`Simulator.step`,
+    e.g. the tick-0 initial pass, where no enclosing measurement
+    exists), ``movement_time`` of :data:`MOVEMENT`, and so on.
     """
 
     tick: int
@@ -175,9 +243,13 @@ class TickRecord:
     #: Engine dispatch: deciding who runs, batch ordering, and the
     #: skip-path bookkeeping (carried answers, counters, skip records).
     dispatch_time: float = 0.0
-    #: ``clock()`` reading when the record opened — the timeline anchor
-    #: for the Chrome-trace counter tracks.
-    started: float = 0.0
+    #: Every timed entry of the tick, in the order they were filed.
+    entries: List[Entry] = field(default_factory=list)
+
+    @property
+    def started(self) -> float:
+        """The earliest entry's start: the record's timeline anchor."""
+        return min((e.start for e in self.entries), default=0.0)
 
     def evaluated(self) -> List[QueryTickCost]:
         return [c for c in self.costs.values() if c.decision == EVALUATED]
@@ -213,24 +285,22 @@ class TickRecord:
 class QueryCostLedger:
     """Bounded ring of per-tick cost records with an explain report.
 
-    Usage mirrors the tracer: ``enabled`` is a plain attribute the engine
-    checks once per tick; :meth:`begin_tick` / :meth:`record` /
-    :meth:`end_tick` are called by the simulator, never by user code.
+    ``enabled`` is a plain attribute the engine checks once per tick;
+    :meth:`begin_tick` / :meth:`add` / :meth:`record` are called by the
+    simulator, never by user code.  Sinks (:meth:`add_sink`) see every
+    entry as it is filed, including those of ticks the ring has since
+    dropped — the ``--trace`` writer is one.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.enabled: bool = False
         self.capacity = capacity
-        self.clock = clock
         self._records: Deque[TickRecord] = deque(maxlen=capacity)
         self._by_tick: Dict[int, TickRecord] = {}
         self._current: Optional[TickRecord] = None
+        self._sinks: List[Callable[[Entry], None]] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -245,13 +315,27 @@ class QueryCostLedger:
         self._by_tick.clear()
         self._current = None
 
+    def add_sink(self, sink: Callable[[Entry], None]) -> None:
+        """Forward every entry filed from now on to ``sink``."""
+        self._sinks.append(sink)
+
+    def remove_sink(self, sink: Callable[[Entry], None]) -> None:
+        self._sinks.remove(sink)
+
     # -- recording (engine-facing) --------------------------------------
 
     def begin_tick(self, tick: int) -> TickRecord:
-        """Open (or reopen) the record for ``tick`` and make it current."""
+        """Open (or reopen) the record for ``tick`` and make it current.
+
+        When several simulators replay the same tick numbers into one
+        shared ledger (``igern obs``'s demo runs the mono and bi
+        workloads back to back), they share the record: its entries and
+        totals accumulate, so the attributed fraction stays a genuine
+        ≤1 share.
+        """
         record = self._by_tick.get(tick)
         if record is None:
-            record = TickRecord(tick=tick, started=self.clock())
+            record = TickRecord(tick=tick)
             if len(self._records) == self._records.maxlen:
                 evicted = self._records[0]
                 self._by_tick.pop(evicted.tick, None)
@@ -260,33 +344,31 @@ class QueryCostLedger:
         self._current = record
         return record
 
+    def add(
+        self, name: str, start: float, end: float, query: Optional[str] = None
+    ) -> None:
+        """File one engine-level entry under the current tick record
+        (opened by :meth:`begin_tick`) and add it to its tick total."""
+        record = self._current
+        entry = Entry(name, query, record.tick, start, end)
+        record.entries.append(entry)
+        total = _TOTALS.get(name)
+        if total is not None:
+            setattr(record, total, (getattr(record, total) or 0.0) + (end - start))
+        for sink in self._sinks:
+            sink(entry)
+
     def record(self, cost: QueryTickCost) -> None:
-        """File one query's cost under the current tick record."""
+        """File one query's cost row, and its phase entries, under the
+        current tick record."""
         record = self._current
         if record is None or record.tick != cost.tick:
             record = self.begin_tick(cost.tick)
         record.costs[cost.query] = cost
-
-    def end_tick(
-        self,
-        total_time: float,
-        movement_time: float = 0.0,
-        scheduler_time: float = 0.0,
-    ) -> None:
-        """Close the current tick with its measured totals.
-
-        Totals *accumulate*: when several simulators replay the same tick
-        numbers into one shared ledger (``igern obs``'s demo runs the mono
-        and bi workloads back to back), the merged record's tick wall is
-        the sum of both measurements, keeping the attributed fraction a
-        genuine ≤1 share.
-        """
-        record = self._current
-        if record is None:
-            return
-        record.total_time = (record.total_time or 0.0) + total_time
-        record.movement_time += movement_time
-        record.scheduler_time += scheduler_time
+        record.entries.extend(cost.entries)
+        for sink in self._sinks:
+            for entry in cost.entries:
+                sink(entry)
 
     # -- inspection ------------------------------------------------------
 

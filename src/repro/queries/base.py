@@ -98,6 +98,9 @@ class ContinuousQuery(abc.ABC):
         self.position = position
         self.search = GridSearch(grid)
         self._answer: FrozenSet[Hashable] = frozenset()
+        #: The tick's :class:`repro.obs.ledger.QueryTickCost` while the
+        #: engine evaluates this query with the ledger on, else ``None``.
+        self.cost = None
 
     @abc.abstractmethod
     def initial(self) -> FrozenSet[Hashable]:
@@ -121,12 +124,12 @@ class ContinuousQuery(abc.ABC):
         """Attach (or detach, with ``None``) the tick's cost record.
 
         Called by the engine around each evaluation when the per-query
-        cost ledger is enabled, so algorithm internals can attribute
-        phase timings to the active
-        :class:`repro.obs.ledger.QueryTickCost`.  The default is a
-        no-op: executors without phase structure are attributed at whole
-        -tick granularity only.
+        cost ledger is enabled, so algorithm internals can time their
+        phases into the active :class:`repro.obs.ledger.QueryTickCost`
+        with :func:`repro.obs.ledger.phase`.  The default keeps it on
+        :attr:`cost`.
         """
+        self.cost = cost
 
     def footprint(self) -> Optional[QueryFootprint]:
         """The cells and objects this query's next answer depends on.

@@ -25,6 +25,7 @@ from typing import FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.geometry import predicates
 from repro.grid.index import Category, GridIndex, ObjectId
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 Position = Tuple[float, float]
@@ -115,7 +116,7 @@ class BruteForceMonoQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        with self.search.tracer.span("brute.scan") as sp:
+        with phase(self.cost, "brute.scan"):
             snapshot = self.grid.positions_snapshot()
             self._answer = frozenset(
                 brute_mono_rnn(
@@ -125,7 +126,6 @@ class BruteForceMonoQuery(ContinuousQuery):
                     k=self.k,
                 )
             )
-            sp.set(objects=len(snapshot))
         return self._answer
 
 
@@ -151,7 +151,7 @@ class BruteForceBiQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        with self.search.tracer.span("brute.scan") as sp:
+        with phase(self.cost, "brute.scan"):
             snap_a = self.grid.positions_snapshot(self.cat_a)
             snap_b = self.grid.positions_snapshot(self.cat_b)
             self._answer = frozenset(
@@ -163,5 +163,4 @@ class BruteForceBiQuery(ContinuousQuery):
                     k=self.k,
                 )
             )
-            sp.set(objects=len(snap_a) + len(snap_b))
         return self._answer

@@ -28,6 +28,7 @@ from repro.geometry.point import Point, dist, dist_sq
 from repro.grid.cell import CellKey
 from repro.grid.index import GridIndex, ObjectId
 from repro.grid.search import SearchKind
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 # Relative slack applied to the previous candidate's distance when it is
@@ -108,10 +109,9 @@ class CRNNQuery(ContinuousQuery):
         exclude = {qid} if qid is not None else set()
         pies = PiePartition(qpos, self.n_pies)
         rect_cache: Dict[CellKey, object] = {}
-        tracer = search.tracer
 
         new_candidates: Dict[int, ObjectId] = {}
-        with tracer.span("crnn.pies", full=full) as sp:
+        with phase(self.cost, "crnn.pies"):
             for i in range(self.n_pies):
                 bound = None
                 if not full:
@@ -141,10 +141,9 @@ class CRNNQuery(ContinuousQuery):
                 )
                 if hit is not None:
                     new_candidates[i] = hit[0]
-            sp.set(candidates=len(new_candidates))
 
         answer = set()
-        with tracer.span("crnn.verify"):
+        with phase(self.cost, "crnn.verify"):
             for oid in new_candidates.values():
                 pos = grid.position(oid)
                 # Squared-space comparison (strict inequality semantics).

@@ -32,6 +32,7 @@ import networkx as nx
 
 from repro.grid.index import Category, GridIndex, ObjectId
 from repro.motion.roadnet import RoadNetwork
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 Position = Tuple[float, float]
@@ -162,7 +163,7 @@ class NetworkBruteMonoQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        with self.search.tracer.span("brute.network_scan") as sp:
+        with phase(self.cost, "brute.network_scan"):
             snapshot = self.grid.positions_snapshot()
             self._answer = frozenset(
                 network_brute_mono_rnn(
@@ -174,7 +175,6 @@ class NetworkBruteMonoQuery(ContinuousQuery):
                     node_cache=self._node_cache,
                 )
             )
-            sp.set(objects=len(snapshot))
         return self._answer
 
 
@@ -204,7 +204,7 @@ class NetworkBruteBiQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        with self.search.tracer.span("brute.network_scan") as sp:
+        with phase(self.cost, "brute.network_scan"):
             snap_a = self.grid.positions_snapshot(self.cat_a)
             snap_b = self.grid.positions_snapshot(self.cat_b)
             self._answer = frozenset(
@@ -218,5 +218,4 @@ class NetworkBruteBiQuery(ContinuousQuery):
                     node_cache=self._node_cache,
                 )
             )
-            sp.set(objects=len(snap_a) + len(snap_b))
         return self._answer

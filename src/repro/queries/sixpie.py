@@ -22,6 +22,7 @@ from repro.geometry.point import dist_sq
 from repro.grid.cell import CellKey
 from repro.grid.index import GridIndex, ObjectId
 from repro.grid.search import SearchKind
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 
@@ -42,7 +43,7 @@ class SixPieSnapshotQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        with self.search.tracer.span("sixpie.evaluate", pies=self.n_pies):
+        with phase(self.cost, "sixpie.evaluate"):
             return self._evaluate()
 
     def _evaluate(self) -> FrozenSet[Hashable]:

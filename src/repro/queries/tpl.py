@@ -19,6 +19,7 @@ from typing import FrozenSet, Hashable
 
 from repro.core.mono import MonoIGERN
 from repro.grid.index import GridIndex
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 
@@ -41,9 +42,9 @@ class TPLQuery(ContinuousQuery):
         return self.tick()
 
     def tick(self) -> FrozenSet[Hashable]:
-        # The stateless re-run shows up as one snapshot span wrapping the
-        # mono.initial phases it re-executes every tick.
-        with self.search.tracer.span("tpl.snapshot"):
+        # The stateless re-run is one snapshot phase; the mono.initial
+        # phases it re-executes every tick are not timed separately.
+        with phase(self.cost, "tpl.snapshot"):
             _, report = self._algo.initial(self.position.current())
         self._answer = report.answer
         return self._answer

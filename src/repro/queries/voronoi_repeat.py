@@ -26,6 +26,7 @@ from repro.geometry.point import dist, dist_sq
 from repro.geometry.polygon import ConvexPolygon
 from repro.grid.index import Category, GridIndex
 from repro.grid.search import SearchKind
+from repro.obs.ledger import phase
 from repro.queries.base import ContinuousQuery, QueryPosition
 
 
@@ -82,15 +83,13 @@ class VoronoiRepeatQuery(ContinuousQuery):
 
     def tick(self) -> FrozenSet[Hashable]:
         if self.method == "pruned":
-            with self.search.tracer.span("voronoi.pruned"):
+            with phase(self.cost, "voronoi.pruned"):
                 state, report = self._algo.initial(self.position.current())
             self.last_neighbors = len(state.nn_a)
             self._answer = report.answer
             return self._answer
-        with self.search.tracer.span("voronoi.rebuild") as sp:
-            answer = self._tick_classic()
-            sp.set(neighbors=self.last_neighbors, answer=len(answer))
-        return answer
+        with phase(self.cost, "voronoi.rebuild"):
+            return self._tick_classic()
 
     def _tick_classic(self) -> FrozenSet[Hashable]:
         grid = self.grid

@@ -45,7 +45,8 @@ from repro.serving.shard import (
 
 
 class ShardFault(RuntimeError):
-    """A shard reported an error for a protocol message."""
+    """A shard reported an error for a protocol message, or its worker
+    is gone (``kind="WorkerLost"``)."""
 
     def __init__(self, shard_id: int, op: str, kind: str, message: str):
         super().__init__(f"shard {shard_id} failed {op!r}: {kind}: {message}")
@@ -105,7 +106,13 @@ class InlineShard:
 
 class ProcessShard:
     """Pipe transport to a ``multiprocessing`` worker running
-    :func:`repro.serving.shard.worker_main`."""
+    :func:`repro.serving.shard.worker_main`.
+
+    A dead worker surfaces as ``ShardFault(kind="WorkerLost")`` from
+    :meth:`recv`; a send that finds the pipe broken parks that fault for
+    the matching :meth:`recv`, so a broadcast still drains every live
+    shard before the fault is raised.
+    """
 
     def __init__(self, shard_id: int, ctx: Optional[str] = None):
         self.shard_id = shard_id
@@ -118,13 +125,28 @@ class ProcessShard:
         self._proc.start()
         child.close()
         self._op: str = ""
+        self._lost: Optional[ShardFault] = None
+
+    def _worker_lost(self, exc: BaseException) -> ShardFault:
+        return ShardFault(
+            self.shard_id, self._op, "WorkerLost", f"{type(exc).__name__}: {exc}"
+        )
 
     def send(self, op: str, payload: tuple) -> None:
         self._op = op
-        self._conn.send((op, payload))
+        try:
+            self._conn.send((op, payload))
+        except (EOFError, OSError) as exc:  # BrokenPipeError included
+            self._lost = self._worker_lost(exc)
 
     def recv(self):
-        status, result = self._conn.recv()
+        lost, self._lost = self._lost, None
+        if lost is not None:
+            raise lost
+        try:
+            status, result = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._worker_lost(exc) from exc
         if status == "error":
             kind, message = result
             raise ShardFault(self.shard_id, self._op, kind, message)
@@ -138,7 +160,7 @@ class ProcessShard:
         try:
             if self._proc.is_alive():
                 self.request("stop")
-        except (BrokenPipeError, EOFError, OSError):
+        except ShardFault:
             pass
         self._conn.close()
         self._proc.join(timeout=10)

@@ -1,5 +1,5 @@
-"""Tests for the exporters: JSON lines, Prometheus text, Chrome trace,
-summary table."""
+"""Tests for the exporters: JSON-lines entries, Prometheus text, Chrome
+trace, summary table."""
 
 import io
 import json
@@ -7,90 +7,110 @@ import json
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.obs.export import (
     JsonLinesSink,
+    chrome_trace,
     prometheus_text,
-    span_from_dict,
-    spans_from_jsonl,
-    spans_to_chrome_trace,
-    spans_to_jsonl,
     summary_table,
     write_chrome_trace,
     write_metrics_text,
-    write_spans_jsonl,
 )
-from repro.obs.ledger import QueryCostLedger, QueryTickCost
+from repro.obs.ledger import QUERY, TICK, Entry, QueryCostLedger, QueryTickCost
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.queries import IGERNMonoQuery, QueryPosition
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
+def ledger_with(*entries):
+    """A ledger holding ``(name, start, end[, query])`` entries at tick 0."""
+    ledger = QueryCostLedger()
+    ledger.begin_tick(0)
+    for name, start, end, *query in entries:
+        ledger.add(name, start, end, query=query[0] if query else None)
+    return ledger
 
 
-def traced_fixture():
-    tracer = Tracer(clock=FakeClock())
-    tracer.enable()
-    with tracer.span("engine.tick", tick=0):
-        tracer.clock.advance(0.25)
-        with tracer.span("mono.incremental"):
-            tracer.clock.advance(0.5)
-    return tracer
+def nested_fixture():
+    """A tick of 0.75s holding one query entry of 0.5s."""
+    return ledger_with((QUERY, 0.25, 0.75, "igern"), (TICK, 0.0, 0.75))
+
+
+def sink_lines(ledger_factory):
+    """The JSON lines a sink writes while ``ledger_factory(ledger)`` files."""
+    buf = io.StringIO()
+    ledger = QueryCostLedger()
+    ledger.add_sink(JsonLinesSink(buf))
+    ledger_factory(ledger)
+    return ledger, buf.getvalue().splitlines()
+
+
+def file_nested(ledger):
+    ledger.begin_tick(0)
+    ledger.add(QUERY, 0.25, 0.75, query="igern")
+    ledger.add(TICK, 0.0, 0.75)
 
 
 class TestJsonLines:
     def test_spans_to_jsonl_roundtrip(self):
-        tracer = traced_fixture()
-        lines = spans_to_jsonl(tracer.spans()).splitlines()
+        ledger, lines = sink_lines(file_nested)
         assert len(lines) == 2
         inner = json.loads(lines[0])
         outer = json.loads(lines[1])
-        assert inner["name"] == "mono.incremental"
-        assert inner["parent"] == "engine.tick"
-        assert outer["name"] == "engine.tick"
-        assert outer["attrs"] == {"tick": 0}
-        assert outer["duration"] == 0.75
+        assert inner == {
+            "name": QUERY, "query": "igern", "tick": 0, "start": 0.25, "end": 0.75
+        }
+        assert Entry(**outer) == ledger.latest().entries[1]
+        assert Entry(**outer).duration == 0.75
 
     def test_write_spans_jsonl(self, tmp_path):
-        tracer = traced_fixture()
-        path = write_spans_jsonl(tmp_path / "trace.jsonl", tracer)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line)["name"] for line in lines)
+        """A sink attached to the ledger a simulator records into writes
+        every entry of the run."""
+        target = tmp_path / "trace.jsonl"
+        ledger = QueryCostLedger()
+        ledger.enable()
+        sim = build_simulator(WorkloadSpec(n_objects=150, grid_size=8, seed=2))
+        sim.ledger = ledger
+        pos = QueryPosition(sim.grid, query_id=central_object(sim))
+        sim.add_query("igern", IGERNMonoQuery(sim.grid, pos))
+        with JsonLinesSink(target) as sink:
+            ledger.add_sink(sink)
+            sim.run(2)
+        lines = [Entry(**json.loads(line)) for line in target.read_text().splitlines()]
+        assert lines and set(lines) == {
+            e for record in ledger.records() for e in record.entries
+        }
 
     def test_write_empty_trace(self, tmp_path):
-        path = write_spans_jsonl(tmp_path / "empty.jsonl", Tracer())
-        assert path.read_text() == ""
+        """A run under a disabled ledger leaves an empty trace file."""
+        target = tmp_path / "empty.jsonl"
+        ledger = QueryCostLedger()
+        sim = build_simulator(WorkloadSpec(n_objects=100, grid_size=8, seed=2))
+        sim.ledger = ledger
+        sim.add_query(
+            "igern", IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5)))
+        )
+        with JsonLinesSink(target) as sink:
+            ledger.add_sink(sink)
+            sim.run(2)
+        assert target.read_text() == ""
 
     def test_live_sink_streams_as_spans_finish(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
+        ledger = ledger_with()
         buf = io.StringIO()
         sink = JsonLinesSink(buf)
-        tracer.add_sink(sink)
-        with tracer.span("a"):
-            pass
+        ledger.add_sink(sink)
+        ledger.add("a", 0.0, 1.0)
         assert json.loads(buf.getvalue())["name"] == "a"
         sink.close()  # borrowed file object stays open
         buf.write("")
 
     def test_sink_owns_path(self, tmp_path):
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
+        ledger = ledger_with()
         target = tmp_path / "live.jsonl"
         with JsonLinesSink(target) as sink:
-            tracer.add_sink(sink)
-            with tracer.span("x"):
-                pass
-            with tracer.span("y"):
-                pass
+            ledger.add_sink(sink)
+            ledger.add("x", 0.0, 1.0)
+            ledger.add("y", 1.0, 2.0)
         lines = target.read_text().splitlines()
         assert [json.loads(line)["name"] for line in lines] == ["x", "y"]
 
@@ -171,82 +191,50 @@ class TestPrometheusEscaping:
 
 
 class TestSpanRoundTrip:
-    def test_span_from_dict_reconstructs_end(self):
-        span = span_from_dict(
-            {"name": "x", "start": 2.0, "duration": 0.5, "depth": 1}
-        )
-        assert span.end == 2.5
-        assert span.duration == 0.5
-        assert span.parent is None and span.attrs == {}
-        assert span.to_dict() == {
-            "name": "x",
-            "start": 2.0,
-            "duration": 0.5,
-            "depth": 1,
-        }
-
     def test_jsonl_roundtrip_preserves_structure(self):
-        tracer = traced_fixture()
-        parsed = spans_from_jsonl(spans_to_jsonl(tracer.spans()))
-        assert [s.name for s in parsed] == ["mono.incremental", "engine.tick"]
-        assert parsed[0].parent == "engine.tick"
-        assert parsed[1].attrs == {"tick": 0}
-        assert parsed[1].duration == 0.75
+        """Parsed back, the lines are the ledger's entries, nesting
+        (interval containment) included."""
+        ledger, lines = sink_lines(file_nested)
+        parsed = [Entry(**json.loads(line)) for line in lines]
+        assert parsed == ledger.latest().entries
+        inner, outer = parsed
+        assert outer.start <= inner.start and inner.end <= outer.end
 
-    span_dicts = st.fixed_dictionaries(
-        {
-            "name": st.text(min_size=1, max_size=16),
-            "start": st.floats(
-                min_value=0.0, max_value=1e9, allow_nan=False
-            ),
-            "duration": st.floats(
-                min_value=0.0, max_value=1e6, allow_nan=False
-            ),
-            "depth": st.integers(min_value=0, max_value=12),
-        },
-        optional={
-            "parent": st.text(min_size=1, max_size=16),
-            "attrs": st.dictionaries(
-                st.text(min_size=1, max_size=8),
-                st.one_of(
-                    st.integers(min_value=-(2**31), max_value=2**31),
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    st.text(max_size=16),
-                    st.booleans(),
-                ),
-                max_size=3,
-            ),
-        },
+    entries = st.builds(
+        Entry,
+        name=st.text(min_size=1, max_size=16),
+        query=st.one_of(st.none(), st.text(max_size=8)),
+        tick=st.integers(min_value=0, max_value=2**31),
+        start=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        end=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
     )
 
-    @given(st.lists(span_dicts, max_size=5))
-    def test_parse_export_cycle_is_idempotent(self, dicts):
-        """One parse/re-export normalizes; a second changes nothing."""
-        jsonl = "\n".join(json.dumps(d) for d in dicts)
-        once = spans_from_jsonl(jsonl)
-        text1 = spans_to_jsonl(once)
-        twice = spans_from_jsonl(text1)
-        assert spans_to_jsonl(twice) == text1
-        for before, after in zip(dicts, once):
-            assert after.name == before["name"]
-            assert after.depth == before["depth"]
-            assert after.parent == before.get("parent")
-            assert after.attrs == (before.get("attrs") or {})
+    @given(st.lists(entries, max_size=5))
+    def test_parse_export_cycle_is_idempotent(self, entries):
+        """Every entry survives the JSON-lines round trip bit-exactly."""
+        buf = io.StringIO()
+        sink = JsonLinesSink(buf)
+        for entry in entries:
+            sink(entry)
+        parsed = [Entry(**json.loads(line)) for line in buf.getvalue().splitlines()]
+        assert parsed == entries
 
 
 class TestChromeTrace:
     def test_spans_become_complete_events_in_microseconds(self):
-        tracer = traced_fixture()
-        doc = spans_to_chrome_trace(tracer.spans())
+        doc = chrome_trace(nested_fixture())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         assert [e["ph"] for e in events] == ["X", "X"]
-        outer = next(e for e in events if e["name"] == "engine.tick")
+        outer = next(e for e in events if e["name"] == TICK)
         assert outer["dur"] == 0.75 * 1e6
         assert outer["args"] == {"tick": 0}
+        inner = next(e for e in events if e["name"] == QUERY)
+        assert inner["ts"] == 0.25 * 1e6
+        assert inner["args"] == {"tick": 0, "query": "igern"}
 
     def test_ledger_rows_become_counter_tracks(self):
-        ledger = QueryCostLedger(clock=lambda: 2.0)
+        ledger = QueryCostLedger()
         ledger.enable()
         ledger.begin_tick(1)
         ledger.record(
@@ -264,8 +252,8 @@ class TestChromeTrace:
                 query="q1", tick=1, decision="skipped", reason="delta-disjoint"
             )
         )
-        ledger.end_tick(0.004)
-        doc = spans_to_chrome_trace([], ledger=ledger)
+        ledger.add(TICK, 2.0, 2.004)
+        doc = chrome_trace(ledger)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert {e["name"] for e in counters} == {
             "ledger.query_wall_us",
@@ -279,51 +267,35 @@ class TestChromeTrace:
         assert walls["ts"] == 2.0 * 1e6
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
-        tracer = traced_fixture()
-        path = write_chrome_trace(tmp_path / "trace.json", tracer)
+        path = write_chrome_trace(tmp_path / "trace.json", nested_fixture())
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) == 2
 
 
 class TestSummaryTable:
     def test_span_rows_sorted_by_total(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
-        with tracer.span("cheap"):
-            tracer.clock.advance(0.01)
-        with tracer.span("expensive"):
-            tracer.clock.advance(2.0)
-        text = summary_table(tracer)
+        text = summary_table(ledger_with(("cheap", 0.0, 0.01), ("expensive", 1.0, 3.0)))
         assert text.index("expensive") < text.index("cheap")
         assert "count" in text and "total" in text
 
     def test_sorted_by_self_time_not_total(self):
         """A parent whose time is all children ranks below the child."""
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
-        with tracer.span("parent"):
-            tracer.clock.advance(0.01)
-            with tracer.span("child"):
-                tracer.clock.advance(2.0)
-        text = summary_table(tracer)
+        ledger = ledger_with(("parent", 0.0, 2.01), ("child", 0.01, 2.01))
+        text = summary_table(ledger)
         assert text.index("child") < text.index("parent")
 
     def test_self_time_sort_is_deterministic_on_ties(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
-        for name in ("zeta", "alpha", "mid"):
-            with tracer.span(name):
-                tracer.clock.advance(1.0)
-        text = summary_table(tracer)
+        ledger = ledger_with(
+            ("zeta", 0.0, 1.0), ("alpha", 1.0, 2.0), ("mid", 2.0, 3.0)
+        )
+        text = summary_table(ledger)
         assert text.index("alpha") < text.index("mid") < text.index("zeta")
 
     def test_top_truncates_and_reports_hidden_rows(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.enable()
-        for i, name in enumerate(["a", "b", "c", "d"]):
-            with tracer.span(name):
-                tracer.clock.advance(float(4 - i))
-        text = summary_table(tracer, top=2)
+        ledger = ledger_with(
+            ("a", 0.0, 4.0), ("b", 4.0, 7.0), ("c", 7.0, 9.0), ("d", 9.0, 10.0)
+        )
+        text = summary_table(ledger, top=2)
         assert "a" in text and "b" in text
         assert "\n  c " not in text and "\n  d " not in text
         assert "... 2 more span name(s)" in text
@@ -357,6 +329,6 @@ class TestSummaryTable:
         assert "p95=" in text
 
     def test_empty_sections_have_placeholders(self):
-        text = summary_table(Tracer(), MetricsRegistry())
+        text = summary_table(QueryCostLedger(), MetricsRegistry())
         assert "(no spans recorded" in text
         assert "(no metrics recorded)" in text

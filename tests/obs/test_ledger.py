@@ -5,6 +5,8 @@ import pytest
 
 from repro.obs.ledger import (
     EVALUATED,
+    MATCHING,
+    MOVEMENT,
     REASON_DELTA_DISJOINT,
     REASON_FOOTPRINT_ENTER,
     REASON_INITIAL,
@@ -13,6 +15,7 @@ from repro.obs.ledger import (
     REASON_RESUME_FORCED,
     REASON_SCHEDULER_OFF,
     SKIPPED,
+    TICK,
     QueryCostLedger,
     QueryTickCost,
     TickRecord,
@@ -145,7 +148,7 @@ class TestLedgerRing:
         for tick in range(5):
             ledger.begin_tick(tick)
             ledger.record(_cost(tick=tick))
-            ledger.end_tick(0.001)
+            ledger.add(TICK, 0.0, 0.001)
         assert [r.tick for r in ledger.records()] == [2, 3, 4]
         assert ledger.record_for(0) is None
         assert ledger.record_for(4) is not None
@@ -190,10 +193,12 @@ class TestLedgerRing:
         ledger = QueryCostLedger()
         ledger.begin_tick(3)
         ledger.record(_cost(query="mono", tick=3, wall_time=0.004))
-        ledger.end_tick(0.005, movement_time=0.001)
+        ledger.add(MOVEMENT, 0.0, 0.001)
+        ledger.add(TICK, 0.0, 0.005)
         ledger.begin_tick(3)
         ledger.record(_cost(query="bi", tick=3, wall_time=0.002))
-        ledger.end_tick(0.003, scheduler_time=0.0002)
+        ledger.add(MATCHING, 1.0, 1.0002)
+        ledger.add(TICK, 1.0, 1.003)
         record = ledger.record_for(3)
         assert record.total_time == pytest.approx(0.008)
         assert record.movement_time == pytest.approx(0.001)
@@ -235,7 +240,8 @@ class TestExplain:
                 answer_size=5,
             )
         )
-        ledger.end_tick(0.006, movement_time=0.001)
+        ledger.add(MOVEMENT, 0.0, 0.001)
+        ledger.add(TICK, 0.0, 0.006)
         return ledger
 
     def test_empty_ledger_explains_itself(self):

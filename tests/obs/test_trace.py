@@ -1,9 +1,40 @@
-"""Tests for the hierarchical span tracer."""
+"""Tests for the run's trace: the cost ledger's timed entries.
 
-import threading
+The ledger is the engine's one timing source.  These tests pin the
+disabled path, how entries are timed and filed, their nesting on one
+clock, retention and sinks, the span table built from them, and the
+global ``obs`` switch.
+"""
+
+import itertools
+import json
+import re
+from pathlib import Path
 
 from repro import obs
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.engine.simulation import Simulator
+from repro.engine.workload import WorkloadSpec, build_generator, build_simulator, central_object
+from repro.obs.export import chrome_trace, summary_table
+from repro.obs.ledger import (
+    EVALUATED,
+    MOVEMENT,
+    QUERY,
+    REASON_INITIAL,
+    TICK,
+    Entry,
+    QueryCostLedger,
+    QueryTickCost,
+    phase,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.queries import (
+    CRNNQuery,
+    IGERNBiQuery,
+    IGERNMonoQuery,
+    QueryPosition,
+    TPLQuery,
+    VoronoiRepeatQuery,
+)
 
 
 class FakeClock:
@@ -19,212 +50,220 @@ class FakeClock:
         self.now += dt
 
 
-def make_tracer(**kwargs):
-    tracer = Tracer(clock=FakeClock(), **kwargs)
-    tracer.enable()
-    return tracer
+def _cost(clock, query="q", tick=0):
+    return QueryTickCost(
+        query=query, tick=tick, decision=EVALUATED, reason=REASON_INITIAL, clock=clock
+    )
+
+
+def _ledger_with(*entries, capacity=256):
+    """A ledger holding ``(name, start, end)`` entries at tick 0."""
+    ledger = QueryCostLedger(capacity=capacity)
+    ledger.begin_tick(0)
+    for name, start, end in entries:
+        ledger.add(name, start, end)
+    return ledger
+
+
+def _mono_sim(ledger, clock=None, n=300):
+    kwargs = {} if clock is None else {"clock": clock}
+    spec = WorkloadSpec(n_objects=n, grid_size=16, seed=3)
+    sim = Simulator(build_generator(spec), grid_size=16, ledger=ledger, **kwargs)
+    qid = central_object(sim)
+    sim.add_query("igern", IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, query_id=qid)))
+    return sim
+
+
+def _entries(ledger):
+    return [e for record in ledger.records() for e in record.entries]
+
+
+def _inside(inner, outer):
+    return outer.start <= inner.start and inner.end <= outer.end
 
 
 class TestDisabledPath:
     def test_disabled_span_is_null_singleton(self):
-        tracer = Tracer()
-        assert tracer.span("x") is NULL_SPAN
-        assert tracer.span("y", a=1) is NULL_SPAN
-
-    def test_null_span_context_manager_and_set(self):
-        with NULL_SPAN as sp:
-            assert sp.set(anything=42) is NULL_SPAN
-        assert not Tracer().spans()
+        assert phase(None, "mono.incremental.verify") is phase(None, "x")
 
     def test_disabled_records_nothing(self):
-        tracer = Tracer()
-        with tracer.span("phase"):
-            pass
-        assert tracer.spans() == []
+        ledger = QueryCostLedger()
+        _mono_sim(ledger).run(2)
+        assert ledger.records() == []
 
     def test_enable_disable_toggles(self):
-        tracer = Tracer()
-        assert tracer.enabled is False
-        tracer.enable()
-        assert tracer.enabled is True
-        with tracer.span("a"):
-            pass
-        tracer.disable()
-        with tracer.span("b"):
-            pass
-        assert [s.name for s in tracer.spans()] == ["a"]
+        ledger = QueryCostLedger()
+        sim = _mono_sim(ledger)
+        sim.execute_queries()
+        assert ledger.enabled is False
+        ledger.enable()
+        assert ledger.enabled is True
+        sim.step()
+        ledger.disable()
+        sim.step()
+        assert [
+            e.tick for e in _entries(ledger) if e.name == TICK
+        ] == [1]
 
 
 class TestSpanLifecycle:
     def test_with_block_records_duration(self):
-        tracer = make_tracer()
-        with tracer.span("work") as sp:
-            tracer.clock.advance(0.5)
-        assert sp.duration == 0.5
-        assert tracer.spans() == [sp]
+        clock = FakeClock()
+        cost = _cost(clock, tick=3)
+        clock.advance(1.0)
+        with phase(cost, "mono.incremental.verify"):
+            clock.advance(0.5)
+        assert cost.entries == [
+            Entry("mono.incremental.verify", "q", 3, 1.0, 1.5)
+        ]
+        assert cost.entries[0].duration == 0.5
+        assert cost.phases == {"verify": 0.5}
 
     def test_begin_end_hot_path(self):
-        tracer = make_tracer()
-        sp = tracer.begin("grid.search.nearest", kind="UNCONSTRAINED")
-        tracer.clock.advance(0.001)
-        tracer.end(sp, cells=3)
-        assert sp.duration == 0.001
-        assert sp.attrs == {"kind": "UNCONSTRAINED", "cells": 3}
-
-    def test_set_attaches_attributes(self):
-        tracer = make_tracer()
-        with tracer.span("phase", tick=7) as sp:
-            sp.set(found=True).set(candidates=5)
-        assert sp.attrs == {"tick": 7, "found": True, "candidates": 5}
+        """The engine files its own entries with explicit clock readings;
+        each adds to its tick total."""
+        ledger = _ledger_with((MOVEMENT, 2.0, 2.25), (TICK, 2.0, 3.0))
+        record = ledger.latest()
+        assert record.entries == [
+            Entry(MOVEMENT, None, 0, 2.0, 2.25),
+            Entry(TICK, None, 0, 2.0, 3.0),
+        ]
+        assert record.movement_time == 0.25
+        assert record.total_time == 1.0
 
     def test_to_dict_shape(self):
-        tracer = make_tracer()
-        with tracer.span("outer"):
-            tracer.clock.advance(1.0)
-            with tracer.span("inner", n=2):
-                tracer.clock.advance(2.0)
-        inner = tracer.spans()[0]
-        d = inner.to_dict()
-        assert d["name"] == "inner"
-        assert d["duration"] == 2.0
-        assert d["depth"] == 1
-        assert d["parent"] == "outer"
-        assert d["attrs"] == {"n": 2}
-        outer_d = tracer.spans()[1].to_dict()
-        assert "parent" not in outer_d and "attrs" not in outer_d
+        entry = Entry("mono.incremental.verify", "igern", 4, 1.0, 3.0)
+        assert entry._asdict() == {
+            "name": "mono.incremental.verify",
+            "query": "igern",
+            "tick": 4,
+            "start": 1.0,
+            "end": 3.0,
+        }
 
 
 class TestNesting:
     def test_depth_and_parent(self):
-        tracer = make_tracer()
-        with tracer.span("engine.tick"):
-            with tracer.span("mono.incremental"):
-                with tracer.span("mono.incremental.verify"):
-                    pass
-        by_name = {s.name: s for s in tracer.spans()}
-        assert by_name["engine.tick"].depth == 0
-        assert by_name["engine.tick"].parent is None
-        assert by_name["mono.incremental"].parent == "engine.tick"
-        assert by_name["mono.incremental.verify"].depth == 2
-        assert by_name["mono.incremental.verify"].parent == "mono.incremental"
+        """Phase entries lie inside their query's entry, which lies inside
+        its tick's entry: three levels on the simulator's one clock."""
+        ledger = QueryCostLedger()
+        ledger.enable()
+        ticks = itertools.count()
+        sim = _mono_sim(ledger, clock=lambda: float(next(ticks)))
+        sim.run(3)
+        entries = _entries(ledger)
+        by_tick = {e.tick: e for e in entries if e.name == TICK}
+        queries = [e for e in entries if e.name == QUERY]
+        phases = [e for e in entries if e.name.startswith("mono.incremental.")]
+        assert phases and sorted(by_tick) == [1, 2, 3]
+        for entry in phases:
+            (owner,) = [q for q in queries if q.tick == entry.tick]
+            assert _inside(entry, owner) and entry.query == owner.query == "igern"
+        for entry in queries[1:]:
+            assert _inside(entry, by_tick[entry.tick])
 
     def test_siblings_share_parent(self):
-        tracer = make_tracer()
-        with tracer.span("root"):
-            with tracer.span("a"):
-                pass
-            with tracer.span("b"):
-                pass
-        by_name = {s.name: s for s in tracer.spans()}
-        assert by_name["a"].parent == by_name["b"].parent == "root"
-        assert by_name["a"].depth == by_name["b"].depth == 1
-
-    def test_stack_is_thread_local(self):
-        tracer = make_tracer()
-        seen = {}
-
-        def worker():
-            with tracer.span("thread.child") as sp:
-                seen["depth"] = sp.depth
-                seen["parent"] = sp.parent
-
-        with tracer.span("main.root"):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert seen == {"depth": 0, "parent": None}  # not nested under main.root
+        """One evaluation's phases are disjoint siblings, so their total
+        never exceeds the query's wall."""
+        ledger = QueryCostLedger()
+        ledger.enable()
+        ticks = itertools.count()
+        _mono_sim(ledger, clock=lambda: float(next(ticks))).run(3)
+        for record in ledger.records():
+            for cost in record.evaluated():
+                spans = sorted(cost.entries, key=lambda e: e.start)
+                assert len(spans) >= 2
+                for before, after in zip(spans, spans[1:]):
+                    assert before.end <= after.start
+                assert cost.phase_total() <= cost.wall_time
 
 
 class TestRetention:
     def test_ring_buffer_drops_oldest(self):
-        tracer = make_tracer(capacity=3)
-        for i in range(5):
-            with tracer.span(f"s{i}"):
-                pass
-        assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
+        ledger = QueryCostLedger(capacity=3)
+        for tick in range(5):
+            ledger.begin_tick(tick)
+            ledger.add(TICK, float(tick), tick + 0.5)
+        ticks = {e["args"]["tick"] for e in chrome_trace(ledger)["traceEvents"]}
+        assert ticks == {2, 3, 4}
 
     def test_clear(self):
-        tracer = make_tracer()
-        with tracer.span("x"):
-            pass
-        tracer.clear()
-        assert tracer.spans() == []
+        ledger = _ledger_with(("x", 0.0, 1.0))
+        ledger.clear()
+        assert ledger.records() == []
+        assert "(no spans recorded" in summary_table(ledger)
 
     def test_sink_sees_every_span_even_past_capacity(self):
-        tracer = make_tracer(capacity=2)
+        ledger = QueryCostLedger(capacity=2)
         names = []
-        tracer.add_sink(lambda s: names.append(s.name))
-        for i in range(4):
-            with tracer.span(f"s{i}"):
-                pass
-        assert names == ["s0", "s1", "s2", "s3"]
+        ledger.add_sink(lambda e: names.append((e.name, e.tick)))
+        for tick in range(4):
+            ledger.begin_tick(tick)
+            ledger.add(TICK, 0.0, 1.0)
+        assert names == [(TICK, 0), (TICK, 1), (TICK, 2), (TICK, 3)]
 
     def test_remove_sink_stops_forwarding(self):
-        tracer = make_tracer()
+        ledger = _ledger_with()
         names = []
-        sink = lambda s: names.append(s.name)  # noqa: E731
-        tracer.add_sink(sink)
-        with tracer.span("kept"):
-            pass
-        tracer.remove_sink(sink)
-        with tracer.span("dropped"):
-            pass
+        sink = lambda e: names.append(e.name)  # noqa: E731
+        ledger.add_sink(sink)
+        ledger.add("kept", 0.0, 1.0)
+        ledger.remove_sink(sink)
+        ledger.add("dropped", 1.0, 2.0)
         assert names == ["kept"]
 
 
 class TestAggregate:
     def test_counts_totals_and_ops(self):
-        tracer = make_tracer()
-        for cells in (3, 5):
-            with tracer.span("grid.search.nearest", cells=cells):
-                tracer.clock.advance(0.25)
-        with tracer.span("mono.initial"):
-            tracer.clock.advance(1.0)
-        aggs = tracer.aggregate()
-        nearest = aggs["grid.search.nearest"]
-        assert nearest.count == 2
-        assert nearest.total == 0.5
-        assert nearest.mean == 0.25
-        assert nearest.min == nearest.max == 0.25
-        assert nearest.ops == {"cells": 8}
-        assert aggs["mono.initial"].count == 1
-
-    def test_aggregate_skips_bool_and_string_attrs(self):
-        tracer = make_tracer()
-        with tracer.span("x", found=True, kind="BOUNDED", n=2):
-            pass
-        assert tracer.aggregate()["x"].ops == {"n": 2}
+        """Span rows count and total the entries of one name; the search
+        work (the operation counts) comes per flavor from the registry."""
+        ledger = _ledger_with(
+            ("mono.incremental.verify", 0.0, 0.25),
+            ("mono.incremental.verify", 1.0, 1.25),
+            ("mono.initial.tighten", 2.0, 3.0),
+        )
+        registry = MetricsRegistry()
+        registry.counter("search_calls_total", kind="BOUNDED", query="a").inc(2)
+        registry.counter("search_calls_total", kind="BOUNDED", query="b").inc(3)
+        registry.counter("search_cells_visited_total", kind="BOUNDED").inc(8)
+        text = summary_table(ledger, registry)
+        verify = next(l for l in text.splitlines() if "mono.incremental.verify" in l)
+        assert verify.split()[1:3] == ["2", "500.000ms"]
+        assert "mono.initial.tighten" in text
+        search = next(l for l in text.splitlines() if "grid.search.bounded" in l)
+        assert search.split()[1:] == ["5", "8", "0"]
 
     def test_prefix_filter(self):
-        tracer = make_tracer()
-        for name in ("mono.initial", "mono.incremental", "bi.initial"):
-            with tracer.span(name):
-                pass
-        assert set(tracer.aggregate("mono.")) == {"mono.initial", "mono.incremental"}
+        ledger = _ledger_with(
+            ("mono.initial.verify", 0.0, 1.0),
+            ("mono.incremental.verify", 1.0, 2.0),
+            ("bi.initial.verify", 2.0, 3.0),
+        )
+        text = summary_table(ledger, prefix="mono.")
+        assert "mono.initial.verify" in text and "mono.incremental.verify" in text
+        assert "bi.initial" not in text
 
 
 class TestGlobalFacade:
     def test_obs_enable_disable_roundtrip(self):
-        try:
-            tracer, registry = obs.enable()
-            assert obs.enabled() is True
-            assert tracer is obs.get_tracer()
-            assert registry is obs.get_registry()
-            from repro.obs.metrics import active_registry
+        from repro.obs.metrics import active_registry
 
+        try:
+            ledger, registry = obs.enable()
+            assert obs.enabled() is True
+            assert ledger is obs.get_ledger()
+            assert registry is obs.get_registry()
             assert active_registry() is registry
         finally:
             obs.disable(clear=True)
         assert obs.enabled() is False
-        from repro.obs.metrics import active_registry
-
         assert active_registry() is None
 
     def test_summary_mentions_spans_header(self):
         try:
-            obs.enable()
-            with obs.get_tracer().span("demo.phase"):
-                pass
+            ledger, _ = obs.enable()
+            ledger.begin_tick(0)
+            ledger.add("demo.phase", 0.0, 1.0)
             text = obs.summary()
             assert "spans (per-phase breakdown" in text
             assert "demo.phase" in text
@@ -233,30 +272,108 @@ class TestGlobalFacade:
 
 
 class TestInstrumentationIntegration:
-    """End-to-end: running queries under tracing produces the phase spans."""
+    """End-to-end: running queries under the ledger produces the phases."""
 
     def test_mono_igern_phases_visible(self):
-        from repro.engine.workload import WorkloadSpec, build_simulator, central_object
-        from repro.queries import IGERNMonoQuery, QueryPosition
-
-        tracer = obs.get_tracer()
         try:
             obs.enable(metrics=False)
-            tracer.clear()
-            sim = build_simulator(WorkloadSpec(n_objects=300, grid_size=16, seed=3))
-            qid = central_object(sim)
-            sim.add_query(
-                "igern", IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, query_id=qid))
-            )
-            sim.run(4)
-            names = {s.name for s in tracer.spans()}
+            obs.get_ledger().clear()
+            _mono_sim(None).run(4)
+            names = {e.name for e in _entries(obs.get_ledger())}
         finally:
             obs.disable(clear=True)
-        # The acceptance criterion: initial, incremental, and verification
-        # phases separately visible.
-        assert "mono.initial" in names
+        # Initial and incremental phases, verification included, are
+        # separately visible.
+        assert "mono.initial.tighten" in names
         assert "mono.initial.verify" in names
-        assert "mono.incremental" in names
+        assert "mono.incremental.tighten" in names
         assert "mono.incremental.verify" in names
-        assert "engine.tick" in names
-        assert any(n.startswith("grid.search.") for n in names)
+
+
+def _documented_names():
+    doc = (Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md").read_text()
+    return set(re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", doc))
+
+
+class TestOneClock:
+    """A mono and a bi simulator share one fake clock and one ledger and
+    replay the same tick numbers, as ``igern obs``'s demo does."""
+
+    TICKS = 4
+
+    def _run(self):
+        ledger = QueryCostLedger()
+        ledger.enable()
+        ticks = itertools.count()
+        clock = lambda: float(next(ticks))  # noqa: E731
+        mono = build_simulator(WorkloadSpec(n_objects=200, grid_size=12, seed=5))
+        bi = build_simulator(
+            WorkloadSpec(n_objects=200, grid_size=12, seed=5, bichromatic=True)
+        )
+        for sim in (mono, bi):
+            sim.clock = clock
+            sim.ledger = ledger
+        pos = QueryPosition(mono.grid, query_id=central_object(mono))
+        mono.add_query("igern", IGERNMonoQuery(mono.grid, pos))
+        mono.add_query("crnn", CRNNQuery(mono.grid, pos))
+        mono.add_query("tpl", TPLQuery(mono.grid, pos))
+        bi_pos = QueryPosition(bi.grid, query_id=central_object(bi, "A"))
+        bi.add_query("igern-bi", IGERNBiQuery(bi.grid, bi_pos))
+        bi.add_query("voronoi", VoronoiRepeatQuery(bi.grid, bi_pos))
+        mono.run(self.TICKS)
+        bi.run(self.TICKS)
+        return ledger
+
+    def test_entries_nest_exactly(self):
+        ledger = self._run()
+        entries = _entries(ledger)
+        ticks = [e for e in entries if e.name == TICK]
+        queries = [e for e in entries if e.name == QUERY]
+        phases = [e for e in entries if e.query is not None and e.name != QUERY]
+        assert len(ticks) == 2 * self.TICKS
+        # CRNN, TPL and Voronoi have no footprint and run every tick.
+        assert len(queries) >= 3 * (self.TICKS + 1)
+        for entry in phases:
+            assert any(
+                q.query == entry.query and q.tick == entry.tick and _inside(entry, q)
+                for q in queries
+            ), entry
+        for entry in queries:
+            if entry.tick == 0:
+                continue  # the initial pass runs outside any step
+            assert any(
+                t.tick == entry.tick and _inside(entry, t) for t in ticks
+            ), entry
+
+    def test_attribution_never_exceeds_the_tick(self):
+        fractions = [
+            record.attributed_fraction()
+            for record in self._run().records()
+            if record.attributed_fraction() is not None
+        ]
+        assert len(fractions) == self.TICKS
+        assert all(0.0 < f <= 1.0 for f in fractions)
+
+    def test_every_name_is_documented(self):
+        names = {e.name for e in _entries(self._run())}
+        assert {"mono.incremental.verify", "bi.incremental.verify", "crnn.pies"} <= names
+        assert names <= _documented_names(), names - _documented_names()
+
+
+class TestTraceFile:
+    def test_trace_holds_every_tick_past_the_ring(self, tmp_path, capsys):
+        """``--trace`` writes every entry of the run: one ``engine.tick``
+        line per ``Simulator.step``, although the two demo simulators
+        replay the same tick numbers for longer than the ring holds."""
+        from repro.cli import main
+
+        ticks = obs.get_ledger().capacity + 20
+        path = tmp_path / "trace.jsonl"
+        rc = main(
+            ["obs", "-n", "60", "--ticks", str(ticks), "--grid", "8", "--trace", str(path)]
+        )
+        assert rc == 0
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        steps = [line["tick"] for line in lines if line["name"] == TICK]
+        assert sorted(steps) == sorted(list(range(1, ticks + 1)) * 2)
+        assert all(Entry(**line).duration >= 0.0 for line in lines)

@@ -1,12 +1,16 @@
 """Gateway behavior: async front door, counter merging, observability."""
 
 import asyncio
+import os
 import random
+import signal
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import AsyncGateway, QuerySpec, ShardCluster
 from repro.serving.counters import stats_snapshot
+from repro.serving.gateway import ShardFault
 
 N = 100
 
@@ -130,6 +134,34 @@ def test_process_counters_merge_into_gateway_process():
     # and histograms summed across shards, gauges shard-labeled.
     assert len(merged) > 0
     assert any(m.kind == "gauge" and dict(m.labels).get("shard") for m in merged.collect())
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_dead_worker_surfaces_as_shard_fault(victim):
+    """SIGKILL one worker of a two-shard process cluster.  The next tick
+    drains the live shard, counts the fault and raises it as
+    ``ShardFault(kind="WorkerLost")``; the live shard's pipe stays in
+    sync, so its next reply answers the next request."""
+    registry = MetricsRegistry()
+    rng = random.Random(11)
+    with ShardCluster(
+        2, grid_size=8, transport="process", mp_context="fork", registry=registry
+    ) as cluster:
+        cluster.load(_initial(11))
+        cluster.add_query(QuerySpec(name="q0", point=(0.5, 0.5)))
+        cluster.initial_eval()
+        dead = cluster.shards[victim]
+        os.kill(dead._proc.pid, signal.SIGKILL)
+        dead._proc.join(timeout=10)
+        moves = [(oid, rng.random(), rng.random()) for oid in rng.sample(range(N), 10)]
+        for _ in range(2):  # a lost worker stays lost, tick after tick
+            with pytest.raises(ShardFault) as info:
+                cluster.tick(moves)
+            assert (info.value.shard_id, info.value.kind) == (victim, "WorkerLost")
+        faults = registry.counter("shard_faults_total", shard=str(victim))
+        assert faults.value == 2
+        live = cluster.shards[1 - victim]
+        assert live.request("counters")["shard_id"] == live.shard_id
 
 
 def test_counters_requests_ship_deltas_not_totals():
