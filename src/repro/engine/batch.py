@@ -10,8 +10,8 @@ A :class:`BatchExecutor` owns one per-tick
   evaluated group by group, so queries probing the same neighborhoods run
   back to back while the relevant memo entries are hot.  Ordering is safe
   because query evaluation never mutates the grid — every evaluation
-  order produces the same answers (the four-way fuzz lockstep holds the
-  batched path to the unbatched one bit for bit).
+  order produces the same answers (the fuzz lockstep's ``batch`` row holds
+  the batched path to the unbatched one bit for bit).
 - **Context lifecycle**: the context is reset before each tick's
   evaluations and its hit/miss deltas are drained afterwards, feeding the
   ``batch_probe_hits_total`` / ``batch_probe_misses_total`` counters and

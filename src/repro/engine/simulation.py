@@ -54,6 +54,24 @@ from repro.queries.base import ContinuousQuery
 
 logger = logging.getLogger(__name__)
 
+#: Process-global work counters a simulator mirrors into its registry:
+#: ``(registry counter, stats singleton, attribute)``.
+_MIRRORED = (
+    ("predicate_filter_hits_total", predicates.STATS, "filter_hits"),
+    ("predicate_exact_fallbacks_total", predicates.STATS, "exact_fallbacks"),
+    ("store_rows_scanned_total", STORE_STATS, "rows_scanned"),
+    ("store_vectorized_filter_rows_total", STORE_STATS, "filter_rows"),
+    ("store_exact_fallback_rows_total", STORE_STATS, "exact_rows"),
+    ("network_dijkstra_runs_total", METRIC_STATS, "dijkstra_runs"),
+    ("network_dijkstra_expansions_total", METRIC_STATS, "dijkstra_expansions"),
+    ("network_distance_cache_hits_total", METRIC_STATS, "cache_hits"),
+    ("network_distance_cache_misses_total", METRIC_STATS, "cache_misses"),
+)
+
+
+def _work_counts() -> list:
+    return [getattr(stats, attr) for _name, stats, attr in _MIRRORED]
+
 
 class Simulator:
     """Drives moving objects and continuous queries over shared time.
@@ -208,33 +226,11 @@ class Simulator:
         #: ledger state stale); cleared by the next successfully
         #: completed step.  See :meth:`_poison_tick`.
         self.poisoned_tick: Optional[int] = None
-        #: Last-seen values of the process-global predicate counters, so
-        #: each tick publishes only this simulator's delta (mirrored into
-        #: the registry as ``predicate_filter_hits_total`` /
-        #: ``predicate_exact_fallbacks_total``).
-        self._predicate_seen = (
-            predicates.STATS.filter_hits,
-            predicates.STATS.exact_fallbacks,
-        )
-        #: Same last-seen-delta pattern for the process-global columnar
-        #: store counters (``store_rows_scanned_total`` /
-        #: ``store_vectorized_filter_rows_total`` /
-        #: ``store_exact_fallback_rows_total``).
-        self._store_seen = (
-            STORE_STATS.rows_scanned,
-            STORE_STATS.filter_rows,
-            STORE_STATS.exact_rows,
-        )
-        #: And for the network-metric counters (``repro.metric.STATS``):
-        #: ``network_dijkstra_runs_total`` /
-        #: ``network_dijkstra_expansions_total`` plus the distance-map
-        #: cache hit/miss pair feeding ``network_sharing_ratio``.
-        self._network_seen = (
-            METRIC_STATS.dijkstra_runs,
-            METRIC_STATS.dijkstra_expansions,
-            METRIC_STATS.cache_hits,
-            METRIC_STATS.cache_misses,
-        )
+        #: Values of the process-global work counters (:data:`_MIRRORED`)
+        #: when this simulator's current step began, so the registry
+        #: receives only the work this simulator did (``None`` between
+        #: steps).
+        self._work_base: Optional[list] = None
         #: This simulator's share of the network distance-map requests,
         #: for the lifetime sharing-ratio gauge.
         self.network_cache_hits = 0
@@ -372,6 +368,8 @@ class Simulator:
         the zero-cost skip path in :meth:`execute_queries`.
         """
         self.current_tick += 1
+        if self.registry is not None:
+            self._work_base = _work_counts()
         flight = self.flight
         ledger = self.ledger
         ledger_on = ledger is not None and ledger.enabled
@@ -703,6 +701,8 @@ class Simulator:
         """
         out: Dict[str, TickMetrics] = {}
         registry = self.registry
+        if registry is not None and self._work_base is None:
+            self._work_base = _work_counts()
         scheduler = self.scheduler
         batch = self.batch
         ledger = self.ledger
@@ -906,69 +906,28 @@ class Simulator:
                 registry.gauge("batch_groups").set(batch.groups)
 
         if registry is not None:
-            hits, fallbacks = (
-                predicates.STATS.filter_hits,
-                predicates.STATS.exact_fallbacks,
-            )
-            seen_hits, seen_fallbacks = self._predicate_seen
-            if hits > seen_hits:
-                registry.counter("predicate_filter_hits_total").inc(
-                    hits - seen_hits
-                )
-            if fallbacks > seen_fallbacks:
-                registry.counter("predicate_exact_fallbacks_total").inc(
-                    fallbacks - seen_fallbacks
-                )
-            self._predicate_seen = (hits, fallbacks)
-            scanned, filtered, exact_rows = (
-                STORE_STATS.rows_scanned,
-                STORE_STATS.filter_rows,
-                STORE_STATS.exact_rows,
-            )
-            seen_scanned, seen_filtered, seen_exact = self._store_seen
-            if scanned > seen_scanned:
-                registry.counter("store_rows_scanned_total").inc(
-                    scanned - seen_scanned
-                )
-            if filtered > seen_filtered:
-                registry.counter("store_vectorized_filter_rows_total").inc(
-                    filtered - seen_filtered
-                )
-            if exact_rows > seen_exact:
-                registry.counter("store_exact_fallback_rows_total").inc(
-                    exact_rows - seen_exact
-                )
-            self._store_seen = (scanned, filtered, exact_rows)
-            runs, expansions, net_hits, net_misses = (
-                METRIC_STATS.dijkstra_runs,
-                METRIC_STATS.dijkstra_expansions,
-                METRIC_STATS.cache_hits,
-                METRIC_STATS.cache_misses,
-            )
-            seen_runs, seen_expansions, seen_hits, seen_misses = self._network_seen
-            if runs > seen_runs:
-                registry.counter("network_dijkstra_runs_total").inc(runs - seen_runs)
-            if expansions > seen_expansions:
-                registry.counter("network_dijkstra_expansions_total").inc(
-                    expansions - seen_expansions
-                )
-            if net_hits > seen_hits:
-                registry.counter("network_distance_cache_hits_total").inc(
-                    net_hits - seen_hits
-                )
-                self.network_cache_hits += net_hits - seen_hits
-            if net_misses > seen_misses:
-                registry.counter("network_distance_cache_misses_total").inc(
-                    net_misses - seen_misses
-                )
-                self.network_cache_misses += net_misses - seen_misses
-            requests = self.network_cache_hits + self.network_cache_misses
-            if requests:
-                registry.gauge("network_sharing_ratio").set(
-                    self.network_cache_hits / requests
-                )
-            self._network_seen = (runs, expansions, net_hits, net_misses)
+            self._publish_work(registry)
         return out
+
+    def _publish_work(self, registry: MetricsRegistry) -> None:
+        """Mirror the process-global work counters' growth since this
+        simulator's step began into its registry: simulators sharing a
+        registry (or a process) then never publish each other's work."""
+        base, self._work_base = self._work_base, None
+        grown = {
+            name: getattr(stats, attr) - before
+            for (name, stats, attr), before in zip(_MIRRORED, base)
+        }
+        for name, amount in grown.items():
+            if amount > 0:
+                registry.counter(name).inc(amount)
+        self.network_cache_hits += max(0, grown["network_distance_cache_hits_total"])
+        self.network_cache_misses += max(0, grown["network_distance_cache_misses_total"])
+        requests = self.network_cache_hits + self.network_cache_misses
+        if requests:
+            registry.gauge("network_sharing_ratio").set(
+                self.network_cache_hits / requests
+            )
 
     def _publish(
         self,

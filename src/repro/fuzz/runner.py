@@ -1,52 +1,66 @@
 """Lockstep differential execution of one scenario, and the fuzz loop.
 
-For every scenario the runner builds **five simulators over the
-identical frozen event script** — scheduler+batch on (the columnar
-store default), scheduler on with batching off, scheduler off (the
-evaluate-everything oracle configuration), scheduler+batch on over
-the dict-backed ``store="mapping"`` grid layout, and scheduler+batch
-with safe-region answer leases on (``lease=True``) — registers the same
-executors in all of them (IGERN plus, per scenario, one baseline and up
-to three extra fixed IGERN queries clustered near the main one so the
-batch layer actually shares), and advances them tick by tick in
-lockstep.  After every tick it checks six layers:
+For every scenario the runner builds one simulator per row of
+:data:`PARTICIPANTS` over the identical frozen event script, registers
+the same executors in all of them (IGERN plus, per scenario, one
+baseline and up to three extra fixed IGERN queries clustered near the
+main one so the batch layer actually shares), and advances them tick by
+tick in lockstep.  The IGERN queries of every simulator, and of the
+optional serving cluster, are built from the same
+:class:`~repro.serving.QuerySpec` list by
+:func:`~repro.serving.build_query`.
 
-1. **oracle** — each executor's answer in the scheduler-off simulator
-   must equal the quadratic brute-force answer recomputed from the raw
-   positions (Theorems 1-4, operationally);
-2. **scheduler** — each executor's answer with the scheduler on must be
-   bit-identical to its answer with the scheduler off (the skip decision
-   is conservative), and the paired grids must hold identical positions;
-3. **batch** — each executor's answer with the shared-execution batch
-   layer on must be bit-identical to the fully cold scheduler-off
-   answer, and each IGERN executor's *monitored set* must be
-   bit-identical to the scheduler-on/batch-off simulator's (same
-   scheduling decisions, so memoization is the only variable — a probe
-   served from a corrupt memo shows up in the monitored state even when
-   the answer survives);
-4. **store** — each executor's answer over the mapping layout must be
-   bit-identical to the scheduler-off answer and its grid must hold
-   identical positions — the columnar/mapping differential pair of the
-   vectorized kernels.  (Monitored *candidate* sets are not compared
-   across layouts: ties in candidate selection are broken by cell
+Each row gives the side's name, the divergence kind of its answer
+check, its :class:`~repro.engine.simulation.Simulator` options, and the
+state checks that apply to it:
+
+=====  =========  ==========================================  ==========  ==========
+side   kind       options                                     invariants  footprints
+=====  =========  ==========================================  ==========  ==========
+off    oracle     scheduler off: evaluate everything          yes         no
+on     scheduler  scheduler on, batching off                  yes         yes
+batch  batch      scheduler and batching on                   yes         yes
+store  store      as ``batch``, over ``store="mapping"``      yes         yes
+lease  lease      as ``batch``, with ``lease=True``           no          no
+=====  =========  ==========================================  ==========  ==========
+
+After every tick it checks, one loop over the table per check:
+
+1. **grid-sync** — every side's grid holds the oracle side's positions;
+2. **answers** — each executor's answer on the oracle side must equal
+   the quadratic brute-force answer recomputed from the raw positions
+   (Theorems 1-4, operationally; kind ``oracle``), and on every other
+   side it must be bit-identical to the oracle side's (the row's kind):
+   the skip decision is conservative, batching only reuses provably
+   redundant work, the mapping layout is the columnar kernels'
+   differential twin, and a held lease carries the certified answer
+   forward;
+3. **monitored** — the batch row's IGERN monitored sets (mono
+   candidates, bi ``NN_A``) must be bit-identical to the ``on`` side's:
+   same scheduling decisions, so memoization is the only variable, and
+   a probe served from a corrupt memo shows up in the monitored state
+   even when the answer survives.  Monitored sets are not compared
+   across store layouts: ties in candidate selection are broken by cell
    enumeration order, which legitimately differs between layouts while
-   both remain valid supersets — the invariant layer checks each side's
-   internal consistency instead.);
-5. **lease** — each executor's answer in the lease-mode simulator must
-   be bit-identical to the scheduler-off answer (a held lease carries
-   the certified answer forward), and every issued lease's *contract*
-   is re-derived from raw positions each tick: while the population is
-   unchanged, every object sits within the lease's object budget of its
-   issue-time position, and the query point lies inside the safe
-   region, the issue-time answer must equal the brute oracle's;
-6. **invariants** — every IGERN monitored state passes
+   both remain valid supersets;
+4. **lease contracts** — every lease the lease row issues is re-derived
+   from raw positions each tick: while the population is unchanged,
+   every object sits within the lease's object budget of its issue-time
+   position, and the query point lies inside the safe region, the
+   issue-time answer must equal the brute oracle's;
+5. **invariants** — on the rows that ask for them, every IGERN
+   monitored state passes
    :meth:`~repro.core.state.MonoState.check_invariants` /
-   :meth:`~repro.core.state.BiState.check_invariants` in *all three*
-   simulators (in particular after skipped ticks), and the registered
-   footprints cover the alive region and the monitored/answer objects.
+   :meth:`~repro.core.state.BiState.check_invariants` (in particular
+   after skipped ticks), and the registered footprints cover the alive
+   region and the monitored and answer objects.  The oracle side
+   registers no footprints; the lease side skips footprint-touching
+   ticks while a lease holds, so its state and footprints may lag by
+   design and only its answers are held to the oracle.
 
 Any violation becomes a :class:`Divergence`; the scenario (already in
 scripted form) plus its divergences is the replayable failure artifact.
+Adding or removing a participant is a one-row edit of the table.
 
 :func:`run_fuzz` drives the seeded scenario stream under a time budget
 or a scenario count, publishing ``fuzz_scenarios_total`` and
@@ -70,12 +84,9 @@ from repro.fuzz.scenario import (
     scripted,
 )
 from repro.geometry.rectangle import Rect
-from repro.metric import NetworkMetric
 from repro.obs.metrics import active_registry
 from repro.queries import (
     CRNNQuery,
-    IGERNBiQuery,
-    IGERNMonoQuery,
     QueryPosition,
     SixPieSnapshotQuery,
     TPLQuery,
@@ -85,15 +96,88 @@ from repro.queries import (
     network_brute_bi_rnn,
     network_brute_mono_rnn,
 )
+from repro.serving import QuerySpec, ShardCluster, build_query
 
 CAT_A, CAT_B = "A", "B"
+
+
+@dataclass(frozen=True)
+class Participant:
+    """One lockstep configuration: a simulator and the checks it faces."""
+
+    #: Names the side in divergences: ``grid[on]``, ``igern[on]``.
+    side: str
+    #: Divergence kind of an answer mismatch on this side.
+    kind: str
+    #: :class:`Simulator` keyword options.
+    options: Dict[str, object]
+    #: Detail string of an answer mismatch.
+    detail: str = ""
+    #: Check the IGERN monitored states' invariants on this side.
+    invariants: bool = True
+    #: Check that this side's registered footprints cover them.
+    footprints: bool = True
+    #: Side whose IGERN monitored sets this side's must equal, and the
+    #: detail string of a mismatch.
+    monitored_as: Optional[str] = None
+    monitored_detail: str = ""
+
+    def simulator(self, generator, **kwargs) -> Simulator:
+        return Simulator(generator, **kwargs, **self.options)
+
+
+#: The lockstep table.  The first row is the oracle side, held to the
+#: brute force; every other side is held to it.
+PARTICIPANTS: Tuple[Participant, ...] = (
+    Participant("off", "oracle", {"scheduler": False}, footprints=False),
+    Participant(
+        "on",
+        "scheduler",
+        {"scheduler": True, "batch": False},
+        "scheduler=True answer differs from scheduler=False",
+    ),
+    Participant(
+        "batch",
+        "batch",
+        {"scheduler": True, "batch": True},
+        "batch=True answer differs from the cold path",
+        monitored_as="on",
+        monitored_detail="batched monitored set differs from unbatched",
+    ),
+    Participant(
+        "store",
+        "store",
+        {"scheduler": True, "batch": True, "store": "mapping"},
+        "mapping-store answer differs from the columnar path",
+    ),
+    Participant(
+        "lease",
+        "lease",
+        {"scheduler": True, "batch": True, "lease": True},
+        "lease-mode answer differs from the evaluate-everything path",
+        invariants=False,
+        footprints=False,
+    ),
+)
+ORACLE = PARTICIPANTS[0]
+#: The side whose leases the contract tracker audits and the serving
+#: cluster's lease decisions are compared with.
+LEASE = next(row for row in PARTICIPANTS if row.options.get("lease"))
+
+#: Baseline executors per (mode, scenario baseline name).
+_BASELINES = {
+    ("mono", "crnn"): lambda grid, position, k: CRNNQuery(grid, position),
+    ("mono", "tpl"): lambda grid, position, k: TPLQuery(grid, position, k=k),
+    ("mono", "sixpie"): lambda grid, position, k: SixPieSnapshotQuery(grid, position),
+    ("bi", "voronoi"): lambda grid, position, k: VoronoiRepeatQuery(grid, position),
+}
 
 
 @dataclass
 class Divergence:
     """One observed disagreement or invariant violation."""
 
-    kind: str  # "oracle" | "scheduler" | "batch" | "store" | "lease" | "invariant" | "grid-sync"
+    kind: str  # a row's kind | "invariant" | "grid-sync" | "serving"
     tick: int
     name: str  # executor name or invariant site
     expected: list
@@ -147,6 +231,24 @@ class ScenarioResult:
         return not self.divergences
 
 
+def _igern_specs(scenario: Scenario, qid) -> List[QuerySpec]:
+    """The main IGERN query (bound to ``qid`` when the query moves) and
+    the extra fixed ones, as wire specs."""
+    common = dict(
+        mode=scenario.mode,
+        k=scenario.k,
+        metric="network" if scenario.metric == "network" else "euclidean",
+    )
+    if qid is not None:
+        main = QuerySpec(name="igern", query_id=qid, **common)
+    else:
+        main = QuerySpec(name="igern", point=tuple(scenario.query_point), **common)
+    return [main] + [
+        QuerySpec(name=f"extra{i}", point=tuple(point), **common)
+        for i, point in enumerate(scenario.extra_query_points or [])
+    ]
+
+
 class _Lockstep:
     """The lockstepped simulators plus per-tick checking for one scenario."""
 
@@ -168,51 +270,20 @@ class _Lockstep:
         # oracle's networkx Dijkstra runs to one per source node.
         self.network = scenario_network(scenario)
         self._oracle_cache: Dict[int, Dict[int, float]] = {}
-        extras = scenario.extra_query_points or []
-        self.extra_names = [f"extra{i}" for i in range(len(extras))]
+        self.specs = _igern_specs(scenario, self.qid)
+        self.igern_names = [spec.name for spec in self.specs]
         extent = Rect(*scenario.extent)
-        self.sim_on = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=False,
-        )
-        self.sim_batch = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=True,
-        )
-        self.sim_off = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=False,
-        )
-        self.sim_store = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=True,
-            store="mapping",
-        )
-        self.sim_lease = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=True,
-            lease=True,
-        )
-        self._register(self.sim_on)
-        self._register(self.sim_batch)
-        self._register(self.sim_off)
-        self._register(self.sim_store)
-        self._register(self.sim_lease)
-        # Optional sixth participant: the sharded serving cluster
+        self.sims: Dict[str, Simulator] = {}
+        for row in PARTICIPANTS:
+            sim = row.simulator(
+                ScriptedWorkload(scenario.script),
+                grid_size=scenario.grid_size,
+                extent=extent,
+            )
+            self._register(sim)
+            self.sims[row.side] = sim
+        self.oracle = self.sims[ORACLE.side]
+        # Optional extra participant: the sharded serving cluster
         # (inline transport for determinism and coverage, lease mode on,
         # fan-out agreement checking every query on every shard).  Only
         # the IGERN executors ride along — the serving layer does not
@@ -220,15 +291,11 @@ class _Lockstep:
         self.cluster = None
         self._cluster_feed: Optional[ScriptedWorkload] = None
         if serving:
-            from repro.serving import QuerySpec, ShardCluster
-
             self.cluster = ShardCluster(
                 3,
                 grid_size=scenario.grid_size,
                 extent=extent,
                 transport="inline",
-                scheduler=True,
-                batch=True,
                 lease=True,
                 network=self.network,
                 fanout_check=True,
@@ -240,128 +307,74 @@ class _Lockstep:
                     for oid, p, cat in self._cluster_feed.initial()
                 ]
             )
-            metric_kind = "network" if scenario.metric == "network" else "euclidean"
-            if self.qid is not None:
-                main = QuerySpec(
-                    name="igern",
-                    mode=scenario.mode,
-                    query_id=self.qid,
-                    k=scenario.k,
-                    metric=metric_kind,
-                )
-            else:
-                main = QuerySpec(
-                    name="igern",
-                    mode=scenario.mode,
-                    point=tuple(scenario.query_point),
-                    k=scenario.k,
-                    metric=metric_kind,
-                )
-            self.cluster.add_query(main)
-            for name, point in zip(
-                self.extra_names, scenario.extra_query_points or []
-            ):
-                self.cluster.add_query(
-                    QuerySpec(
-                        name=name,
-                        mode=scenario.mode,
-                        point=tuple(point),
-                        k=scenario.k,
-                        metric=metric_kind,
-                    )
-                )
+            for spec in self.specs:
+                self.cluster.add_query(spec)
         #: Independent lease-contract tracker: query name -> (lease
         #: object at issue, issue-time position snapshot).  Validated
         #: against the brute oracle every tick the contract holds, with
         #: no reliance on the engine's own budget bookkeeping.
         self._lease_contracts: Dict[str, Tuple[object, dict]] = {}
 
-    def _position(self, sim: Simulator) -> QueryPosition:
-        if self.qid is not None:
-            return QueryPosition(sim.grid, query_id=self.qid)
-        return QueryPosition(sim.grid, fixed=self.scenario.query_point)
-
-    def _igern(self, grid, position) -> "IGERNMonoQuery | IGERNBiQuery":
-        sc = self.scenario
-        metric = None
-        if sc.metric == "network":
-            # Fresh metric per query; the scenario network underneath
-            # holds the distance memo they share.
-            metric = NetworkMetric(self.network)
-        if sc.mode == "mono":
-            return IGERNMonoQuery(grid, position, k=sc.k, metric=metric)
-        return IGERNBiQuery(grid, position, k=sc.k, metric=metric)
+    def _report(self, kind, tick, name, expected=(), actual=(), detail="") -> None:
+        self.divergences.append(
+            Divergence(
+                kind,
+                tick,
+                name,
+                sorted(expected, key=repr),
+                sorted(actual, key=repr),
+                detail,
+            )
+        )
 
     def _register(self, sim: Simulator) -> None:
         sc = self.scenario
-        k = sc.k
-        grid = sim.grid
-        sim.add_query("igern", self._igern(grid, self._position(sim)))
-        if sc.metric == "network":
-            # The Euclidean baselines are not defined under network
-            # distance; generated network scenarios carry baseline=None,
-            # and handcrafted corpus entries are held to the same rule.
-            pass
-        elif sc.mode == "mono":
-            if sc.baseline == "crnn":
-                sim.add_query("crnn", CRNNQuery(grid, self._position(sim)))
-            elif sc.baseline == "tpl":
-                sim.add_query("tpl", TPLQuery(grid, self._position(sim), k=k))
-            elif sc.baseline == "sixpie":
-                sim.add_query("sixpie", SixPieSnapshotQuery(grid, self._position(sim)))
-        else:
-            if sc.baseline == "voronoi":
-                sim.add_query("voronoi", VoronoiRepeatQuery(grid, self._position(sim)))
+        main, *extras = self.specs
+        sim.add_query(main.name, build_query(main, sim, self.network))
+        # The Euclidean baselines are not defined under network distance;
+        # generated network scenarios carry baseline=None, and handcrafted
+        # corpus entries are held to the same rule.
+        make = _BASELINES.get((sc.mode, sc.baseline))
+        if make is not None and sc.metric != "network":
+            if self.qid is not None:
+                position = QueryPosition(sim.grid, query_id=self.qid)
+            else:
+                position = QueryPosition(sim.grid, fixed=sc.query_point)
+            sim.add_query(sc.baseline, make(sim.grid, position, sc.k))
         # Extra fixed IGERN queries with overlapping footprints: the
         # workload where the shared tick context memoizes across queries.
-        for name, point in zip(self.extra_names, sc.extra_query_points or []):
-            sim.add_query(name, self._igern(grid, QueryPosition(grid, fixed=point)))
+        for spec in extras:
+            sim.add_query(spec.name, build_query(spec, sim, self.network))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        metrics_on = self.sim_on.execute_queries()
-        metrics_batch = self.sim_batch.execute_queries()
-        metrics_off = self.sim_off.execute_queries()
-        metrics_store = self.sim_store.execute_queries()
-        metrics_lease = self.sim_lease.execute_queries()
-        self._check_tick(
-            0, metrics_on, metrics_off, metrics_batch, metrics_store, metrics_lease
-        )
-        self._check_serving(0, metrics_off, initial=True)
+        metrics = {side: sim.execute_queries() for side, sim in self.sims.items()}
+        self._check_tick(0, metrics)
+        self._check_serving(0, metrics[ORACLE.side], initial=True)
         for t in range(1, self.scenario.n_ticks + 1):
-            metrics_on = self.sim_on.step()
-            metrics_batch = self.sim_batch.step()
-            metrics_off = self.sim_off.step()
-            metrics_store = self.sim_store.step()
-            metrics_lease = self.sim_lease.step()
-            self._check_tick(
-                t,
-                metrics_on,
-                metrics_off,
-                metrics_batch,
-                metrics_store,
-                metrics_lease,
-            )
-            self._check_serving(t, metrics_off)
+            metrics = {side: sim.step() for side, sim in self.sims.items()}
+            self._check_tick(t, metrics)
+            self._check_serving(t, metrics[ORACLE.side])
         if self.cluster is not None:
             self.cluster.close()
+        leased = self.sims[LEASE.side]
         return ScenarioResult(
             scenario=self.scenario,
             ticks=self.scenario.n_ticks,
             divergences=self.divergences,
             lease_stats={
-                "issued": self.sim_lease.leases_issued,
-                "held": self.sim_lease.leases_held,
-                "broken": self.sim_lease.leases_broken,
+                "issued": leased.leases_issued,
+                "held": leased.leases_held,
+                "broken": leased.leases_broken,
             },
         )
 
     def _oracle(self, qpos, query_id) -> set:
         sc = self.scenario
-        grid = self.sim_off.grid
+        grid = self.oracle.grid
         exact = self.exact_oracle
         if sc.metric == "network":
             if sc.mode == "mono":
@@ -400,170 +413,67 @@ class _Lockstep:
         """Per-executor brute-force expected answers (the extra fixed
         queries sit at different points than the main query, so each gets
         its own oracle; baselines share the main query's)."""
-        grid = self.sim_off.grid
         if self.qid is not None:
-            qpos = grid.position(self.qid)
+            qpos = self.oracle.grid.position(self.qid)
         else:
             qpos = self.scenario.query_point
         main = self._oracle(qpos, self.qid)
-        expected = {
-            name: main
-            for name in self.sim_off.query_names()
-            if name not in self.extra_names
-        }
-        for name, point in zip(
-            self.extra_names, self.scenario.extra_query_points or []
-        ):
-            expected[name] = self._oracle(point, None)
+        expected = {name: main for name in self.oracle.query_names()}
+        for spec in self.specs[1:]:
+            expected[spec.name] = self._oracle(spec.point, None)
         return expected
 
-    def _check_tick(
-        self,
-        tick: int,
-        metrics_on: Dict,
-        metrics_off: Dict,
-        metrics_batch: Dict,
-        metrics_store: Dict,
-        metrics_lease: Dict,
-    ) -> None:
-        report = self.divergences
-        off_positions = self.sim_off.grid.positions_snapshot()
-        for side, sim in (
-            ("on", self.sim_on),
-            ("batch", self.sim_batch),
-            ("store", self.sim_store),
-            ("lease", self.sim_lease),
-        ):
-            if sim.grid.positions_snapshot() != off_positions:
-                report.append(
-                    Divergence(
-                        kind="grid-sync",
-                        tick=tick,
-                        name=f"grid[{side}]",
-                        expected=[],
-                        actual=[],
-                        detail="paired grids hold different positions",
-                    )
+    def _check_tick(self, tick: int, metrics: Dict[str, Dict]) -> None:
+        report = self._report
+        sims = self.sims
+        oracle_positions = self.oracle.grid.positions_snapshot()
+        for row in PARTICIPANTS[1:]:
+            if sims[row.side].grid.positions_snapshot() != oracle_positions:
+                report(
+                    "grid-sync",
+                    tick,
+                    f"grid[{row.side}]",
+                    detail="paired grids hold different positions",
                 )
         expectations = self._expectations()
-        for name in self.sim_off.query_names():
-            expected = expectations[name]
-            off_answer = set(metrics_off[name].answer)
-            on_answer = set(metrics_on[name].answer)
-            batch_answer = set(metrics_batch[name].answer)
-            if off_answer != expected:
-                report.append(
-                    Divergence(
-                        kind="oracle",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(expected, key=repr),
-                        actual=sorted(off_answer, key=repr),
-                    )
-                )
-            if on_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="scheduler",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(on_answer, key=repr),
-                        detail="scheduler=True answer differs from scheduler=False",
-                    )
-                )
-            if batch_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="batch",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(batch_answer, key=repr),
-                        detail="batch=True answer differs from the cold path",
-                    )
-                )
-            store_answer = set(metrics_store[name].answer)
-            if store_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="store",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(store_answer, key=repr),
-                        detail="mapping-store answer differs from the columnar path",
-                    )
-                )
-            lease_answer = set(metrics_lease[name].answer)
-            if lease_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="lease",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(lease_answer, key=repr),
-                        detail="lease-mode answer differs from the evaluate-everything path",
-                    )
-                )
+        for name in self.oracle.query_names():
+            oracle_answer = set(metrics[ORACLE.side][name].answer)
+            for row in PARTICIPANTS:
+                if row is ORACLE:
+                    expected, answer = expectations[name], oracle_answer
+                else:
+                    expected = oracle_answer
+                    answer = set(metrics[row.side][name].answer)
+                if answer != expected:
+                    report(row.kind, tick, name, expected, answer, row.detail)
         self._check_lease_contracts(tick, expectations)
-        # Memoization soundness, one level below answers: sim_on and
-        # sim_batch make identical scheduling decisions, so their IGERN
-        # monitored sets must match exactly.  (sim_off is not comparable
-        # here — a skipped tick may legitimately leave monitored state
-        # behind the evaluate-everything configuration.)
-        for name in ["igern", *self.extra_names]:
-            mon_batch = self._monitored(self.sim_batch, name)
-            mon_on = self._monitored(self.sim_on, name)
-            if mon_batch != mon_on:
-                report.append(
-                    Divergence(
-                        kind="batch",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(mon_on, key=repr),
-                        actual=sorted(mon_batch, key=repr),
-                        detail="batched monitored set differs from unbatched",
-                    )
-                )
-        if self.check_invariants:
-            igern_names = ["igern", *self.extra_names]
-            for side, sim in (
-                ("on", self.sim_on),
-                ("batch", self.sim_batch),
-                ("off", self.sim_off),
-                ("store", self.sim_store),
-            ):
-                for name in igern_names:
-                    for violation in self._state_violations(sim, name):
-                        report.append(
-                            Divergence(
-                                kind="invariant",
-                                tick=tick,
-                                name=f"{name}[{side}]",
-                                expected=[],
-                                actual=[],
-                                detail=violation,
-                            )
-                        )
-            for side, sim in (
-                ("on", self.sim_on),
-                ("batch", self.sim_batch),
-                ("store", self.sim_store),
-            ):
-                for name in igern_names:
-                    for violation in self._footprint_violations(sim, name):
-                        report.append(
-                            Divergence(
-                                kind="invariant",
-                                tick=tick,
-                                name=f"footprint:{name}[{side}]",
-                                expected=[],
-                                actual=[],
-                                detail=violation,
-                            )
-                        )
+        # Memoization soundness, one level below answers, against a side
+        # making identical scheduling decisions.  (The oracle side is not
+        # comparable here — a skipped tick may legitimately leave
+        # monitored state behind the evaluate-everything configuration.)
+        for row in PARTICIPANTS:
+            if row.monitored_as is None:
+                continue
+            for name in self.igern_names:
+                mine = self._monitored(sims[row.side], name)
+                theirs = self._monitored(sims[row.monitored_as], name)
+                if mine != theirs:
+                    report(row.kind, tick, name, theirs, mine, row.monitored_detail)
+        if not self.check_invariants:
+            return
+        for row in PARTICIPANTS:
+            if not row.invariants:
+                continue
+            for name in self.igern_names:
+                for violation in self._state_violations(sims[row.side], name):
+                    report("invariant", tick, f"{name}[{row.side}]", detail=violation)
+        for row in PARTICIPANTS:
+            if not row.footprints:
+                continue
+            for name in self.igern_names:
+                for violation in self._footprint_violations(sims[row.side], name):
+                    site = f"footprint:{name}[{row.side}]"
+                    report("invariant", tick, site, detail=violation)
 
     def _check_lease_contracts(self, tick: int, expectations: Dict[str, set]) -> None:
         """Validate every issued lease's *stated contract* against the
@@ -577,7 +487,7 @@ class _Lockstep:
         positions each subsequent tick — so an unsoundly wide lease is
         caught even on ticks the engine chose to evaluate anyway.
         """
-        sim = self.sim_lease
+        sim = self.sims[LEASE.side]
         scheduler = sim.scheduler
         if scheduler is None:
             return
@@ -602,53 +512,44 @@ class _Lockstep:
             if positions.keys() != issued.keys():
                 continue  # churn voids the contract (and breaks the lease)
             budget = lease.object_budget
-            within = True
-            for oid, pos in positions.items():
-                if oid == lease.query_oid:
-                    continue
-                old = issued[oid]
-                if math.hypot(pos[0] - old[0], pos[1] - old[1]) > budget:
-                    within = False
-                    break
-            if not within:
+            if any(
+                math.hypot(pos[0] - issued[oid][0], pos[1] - issued[oid][1]) > budget
+                for oid, pos in positions.items()
+                if oid != lease.query_oid
+            ):
                 continue
             qpos = sim.query(name).position.current()
             if not lease.contains(qpos):
                 continue
             expected = expectations.get(name)
             if expected is not None and set(lease.answer) != expected:
-                self.divergences.append(
-                    Divergence(
-                        kind="lease",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(expected, key=repr),
-                        actual=sorted(lease.answer, key=repr),
-                        detail=(
-                            "lease contract holds (population unchanged,"
-                            " displacements within budget, query inside"
-                            " the safe region) but the certified answer"
-                            " is not the oracle answer"
-                        ),
-                    )
+                self._report(
+                    "lease",
+                    tick,
+                    name,
+                    expected,
+                    lease.answer,
+                    "lease contract holds (population unchanged,"
+                    " displacements within budget, query inside"
+                    " the safe region) but the certified answer"
+                    " is not the oracle answer",
                 )
 
     def _check_serving(
-        self, tick: int, metrics_off: Dict, initial: bool = False
+        self, tick: int, oracle_metrics: Dict, initial: bool = False
     ) -> None:
         """Advance the serving cluster one tick and hold it to lockstep.
 
         Two comparisons: merged answers must be bit-identical to the
-        scheduler-off oracle configuration, and the cluster's lease
-        decisions (spent budget / taint / break, per live lease) must be
-        bit-identical to the single-process lease-mode simulator — the
-        sharded service may not certify differently than the engine it
-        wraps.  Fan-out disagreements between shard replicas surface as
-        a ``RuntimeError`` from the merge and are recorded too.
+        oracle side's, and the cluster's lease decisions (spent budget /
+        taint / break, per live lease) must be bit-identical to the
+        single-process lease side's — the sharded service may not
+        certify differently than the engine it wraps.  Fan-out
+        disagreements between shard replicas surface as a
+        ``RuntimeError`` from the merge and are recorded too.
         """
         if self.cluster is None:
             return
-        igern_names = ["igern", *self.extra_names]
         try:
             if initial:
                 result = self.cluster.initial_eval()
@@ -660,49 +561,36 @@ class _Lockstep:
                     list(events.removes),
                 )
         except RuntimeError as exc:
-            self.divergences.append(
-                Divergence(
-                    kind="serving",
-                    tick=tick,
-                    name="cluster",
-                    expected=[],
-                    actual=[],
-                    detail=str(exc),
-                )
-            )
+            self._report("serving", tick, "cluster", detail=str(exc))
             return
-        for name in igern_names:
+        for name in self.igern_names:
             entry = result.answers.get(name)
             served = set(entry[0]) if entry is not None else None
-            off_answer = set(metrics_off[name].answer)
-            if served != off_answer:
-                self.divergences.append(
-                    Divergence(
-                        kind="serving",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(served or (), key=repr),
-                        detail="sharded answer differs from the single-process engine",
-                    )
+            oracle_answer = set(oracle_metrics[name].answer)
+            if served != oracle_answer:
+                self._report(
+                    "serving",
+                    tick,
+                    name,
+                    oracle_answer,
+                    served or (),
+                    "sharded answer differs from the single-process engine",
                 )
-        ref_scheduler = self.sim_lease.scheduler
+        ref_scheduler = self.sims[LEASE.side].scheduler
         if ref_scheduler is not None:
             ref_leases = {
                 name: (state.spent, state.tainted, state.broken)
                 for name, state in ref_scheduler.lease_states().items()
-                if name in igern_names
+                if name in self.igern_names
             }
             if result.leases != ref_leases:
-                self.divergences.append(
-                    Divergence(
-                        kind="serving",
-                        tick=tick,
-                        name="leases",
-                        expected=sorted(ref_leases.items(), key=repr),
-                        actual=sorted(result.leases.items(), key=repr),
-                        detail="sharded lease decisions differ from the lease-mode engine",
-                    )
+                self._report(
+                    "serving",
+                    tick,
+                    "leases",
+                    ref_leases.items(),
+                    result.leases.items(),
+                    "sharded lease decisions differ from the lease-mode engine",
                 )
 
     def _query_id(self, name: str):
@@ -774,7 +662,7 @@ def run_scenario(
     with the filtered predicates — the gold standard against which the
     whole filtered stack is differentially validated.
 
-    ``serving`` adds the sharded serving cluster as a sixth lockstep
+    ``serving`` adds the sharded serving cluster as one more lockstep
     participant: merged gateway answers and lease decisions must be
     bit-identical to the single-process engine.
     """

@@ -338,7 +338,14 @@ class ColumnarStore:
         self._by_category: Dict[Category, Set[ObjectId]] = {}
         self._n = 0  # high-water row mark
         self.compactions = 0
-        self.positions = _PositionsView(self)
+
+    @property
+    def positions(self) -> _PositionsView:
+        """A fresh ``oid -> Point`` view (the grid index keeps one).  The
+        store holds none itself: store -> view -> store would be a
+        reference cycle, leaving a dropped store's columns and buckets to
+        the cyclic collector."""
+        return _PositionsView(self)
 
     # -- row plumbing --------------------------------------------------
 

@@ -169,6 +169,12 @@ def chrome_trace(ledger: QueryCostLedger, pid: int = 1) -> dict:
         evaluated = record.evaluated()
         if not evaluated:
             continue
+        # A query name filed by several simulators sums into one track.
+        walls: Dict[str, float] = {}
+        cells: Dict[str, int] = {}
+        for c in evaluated:
+            walls[c.query] = walls.get(c.query, 0.0) + c.wall_time
+            cells[c.query] = cells.get(c.query, 0) + c.cells_visited
         ts = record.started * 1e6
         events.append(
             {
@@ -177,9 +183,7 @@ def chrome_trace(ledger: QueryCostLedger, pid: int = 1) -> dict:
                 "ph": "C",
                 "ts": ts,
                 "pid": pid,
-                "args": {
-                    c.query: round(c.wall_time * 1e6, 3) for c in evaluated
-                },
+                "args": {q: round(wall * 1e6, 3) for q, wall in walls.items()},
             }
         )
         events.append(
@@ -189,7 +193,7 @@ def chrome_trace(ledger: QueryCostLedger, pid: int = 1) -> dict:
                 "ph": "C",
                 "ts": ts,
                 "pid": pid,
-                "args": {c.query: c.cells_visited for c in evaluated},
+                "args": cells,
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -8,9 +8,11 @@ The ledger is the engine's one timing source.  Every tick produces one
   algorithm phases — all read from one clock (the simulator's), so a
   phase entry lies inside its query's entry and a query entry inside
   its tick;
-- one :class:`QueryTickCost` per (non-paused) registered query: wall
-  time, per-phase totals, search counters, and *why* the scheduler
-  decided to evaluate or skip it, as a machine-readable reason code.
+- one :class:`QueryTickCost` per (non-paused) registered query of each
+  simulator filing into the ledger: wall time, per-phase totals, search
+  counters, and *why* the scheduler decided to evaluate or skip it, as a
+  machine-readable reason code.  Simulators sharing a ledger and a query
+  name each file their own row.
 
 The entries feed the ``--trace`` JSON lines, the Chrome trace and the
 ``igern obs`` span table (:mod:`repro.obs.export`); the cost rows feed
@@ -60,7 +62,7 @@ from __future__ import annotations
 import contextlib
 import io
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
@@ -234,7 +236,9 @@ class TickRecord:
     """
 
     tick: int
-    costs: "OrderedDict[str, QueryTickCost]" = field(default_factory=OrderedDict)
+    #: Every query cost row filed for the tick, in filing order (one per
+    #: query and simulator).
+    costs: List[QueryTickCost] = field(default_factory=list)
     total_time: Optional[float] = None
     movement_time: float = 0.0
     #: Footprint matching: the scheduler's reason-annotated affected-set
@@ -252,10 +256,14 @@ class TickRecord:
         return min((e.start for e in self.entries), default=0.0)
 
     def evaluated(self) -> List[QueryTickCost]:
-        return [c for c in self.costs.values() if c.decision == EVALUATED]
+        return [c for c in self.costs if c.decision == EVALUATED]
 
     def skipped(self) -> List[QueryTickCost]:
-        return [c for c in self.costs.values() if c.decision == SKIPPED]
+        return [c for c in self.costs if c.decision == SKIPPED]
+
+    def rows(self, query: str) -> List[QueryTickCost]:
+        """The cost rows filed for one query name at this tick."""
+        return [c for c in self.costs if c.query == query]
 
     def top(self, n: int = 5) -> List[QueryTickCost]:
         """The ``n`` most expensive query executions, deterministically
@@ -272,7 +280,7 @@ class TickRecord:
             self.movement_time
             + self.scheduler_time
             + self.dispatch_time
-            + sum(c.wall_time for c in self.costs.values())
+            + sum(c.wall_time for c in self.costs)
         )
 
     def attributed_fraction(self) -> Optional[float]:
@@ -364,7 +372,7 @@ class QueryCostLedger:
         record = self._current
         if record is None or record.tick != cost.tick:
             record = self.begin_tick(cost.tick)
-        record.costs[cost.query] = cost
+        record.costs.append(cost)
         record.entries.extend(cost.entries)
         for sink in self._sinks:
             for entry in cost.entries:
@@ -384,13 +392,11 @@ class QueryCostLedger:
 
     def history(self, query: str) -> List[QueryTickCost]:
         """Every retained cost row of one query, oldest tick first."""
-        return [
-            r.costs[query] for r in self._records if query in r.costs
-        ]
+        return [c for r in self._records for c in r.rows(query)]
 
     def queries(self) -> List[str]:
         """Every query name appearing in the retained records, sorted."""
-        names = {q for r in self._records for q in r.costs}
+        names = {c.query for r in self._records for c in r.costs}
         return sorted(names)
 
     # -- reporting -------------------------------------------------------
@@ -399,7 +405,8 @@ class QueryCostLedger:
         """A human-readable account of one query at one tick.
 
         ``tick=None`` picks the most recent retained tick on which the
-        query appears.  The report is the backend of
+        query appears.  When several simulators filed the query at that
+        tick, each row is reported.  The report is the backend of
         ``igern obs explain <query> --tick N``.
         """
         if not self._records:
@@ -407,7 +414,7 @@ class QueryCostLedger:
         record: Optional[TickRecord] = None
         if tick is None:
             for candidate in reversed(self._records):
-                if query in candidate.costs:
+                if candidate.rows(query):
                     record = candidate
                     break
             if record is None:
@@ -424,16 +431,19 @@ class QueryCostLedger:
                     f"tick {tick} is not retained"
                     f" (ledger holds ticks {lo}..{hi})"
                 )
-            if query not in record.costs:
+            if not record.rows(query):
+                present = dict.fromkeys(c.query for c in record.costs)
                 return (
                     f"query {query!r} has no entry at tick {tick}"
-                    f" (present: {', '.join(record.costs) or 'none'})"
+                    f" (present: {', '.join(present) or 'none'})"
                 )
-        cost = record.costs[query]
-        return self._format(record, cost)
-
-    def _format(self, record: TickRecord, cost: QueryTickCost) -> str:
         out = io.StringIO()
+        for cost in record.rows(query):
+            self._format_row(out, record, cost)
+        self._format_totals(out, record)
+        return out.getvalue()
+
+    def _format_row(self, out: io.StringIO, record: TickRecord, cost: QueryTickCost) -> None:
         out.write(
             f"query {cost.query!r} tick {record.tick} — {cost.decision}"
             f" ({cost.reason})"
@@ -478,6 +488,8 @@ class QueryCostLedger:
                 f" — previous answer carried forward"
                 f" ({cost.answer_size} object(s))\n"
             )
+
+    def _format_totals(self, out: io.StringIO, record: TickRecord) -> None:
         n_eval = len(record.evaluated())
         n_skip = len(record.skipped())
         out.write(
@@ -496,7 +508,6 @@ class QueryCostLedger:
             fraction = record.attributed_fraction()
             if fraction is not None:
                 out.write(f", attributed {100.0 * fraction:.1f}%")
-        return out.getvalue()
 
 
 def _us(seconds: float) -> str:

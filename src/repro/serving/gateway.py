@@ -192,11 +192,7 @@ class ShardCluster:
         grid_size: int = 64,
         extent: Optional[Rect] = None,
         transport: str = "inline",
-        scheduler: bool = True,
-        batch: bool = True,
         lease: bool = False,
-        store: str = "columnar",
-        dt: float = 1.0,
         network=None,
         fanout_check: bool = False,
         registry: Optional[MetricsRegistry] = None,
@@ -220,11 +216,7 @@ class ShardCluster:
                 if extent is not None
                 else None
             ),
-            store=store,
-            scheduler=scheduler,
-            batch=batch,
             lease=lease,
-            dt=dt,
             network=network,
         )
         self.shards: List = []
@@ -430,13 +422,15 @@ class ShardCluster:
     # -- observability -------------------------------------------------
 
     def collect_counters(self) -> None:
-        """Pull per-shard counters: merge stat deltas into this
-        process's singletons, keep the latest registry snapshots."""
+        """Pull per-shard counters: merge worker processes' stat deltas
+        into this process's singletons, keep the latest registry
+        snapshots.  Inline shards counted into those singletons already."""
         for shard in self.shards:
             shard.send("counters", ())
         for shard in self.shards:
             payload = shard.recv()
-            merge_stats(payload["stats"])
+            if self.transport == "process":
+                merge_stats(payload["stats"])
             self._registry_snapshots[payload["shard_id"]] = payload["registry"]
 
     def merged_registry(self) -> MetricsRegistry:

@@ -48,11 +48,7 @@ class ShardConfig:
     n_shards: int
     grid_size: int = 64
     extent: Optional[Tuple[float, float, float, float]] = None
-    store: str = "columnar"
-    scheduler: bool = True
-    batch: bool = True
     lease: bool = False
-    dt: float = 1.0
     #: Road network for network-metric queries (picklable; ``None`` for
     #: pure-Euclidean serving).  :func:`build_query` gives each network
     #: query its own :class:`NetworkMetric`; all of them share the
@@ -179,15 +175,11 @@ class ShardState:
         self.sim = Simulator(
             self.feed,
             grid_size=config.grid_size,
-            dt=config.dt,
             extent=config.rect(),
             registry=self.registry,
-            scheduler=config.scheduler,
-            batch=config.batch,
             lease=config.lease,
             flight=False,
             ledger=False,
-            store=config.store,
         )
         #: Baseline for process-global stat deltas: under the fork start
         #: method a worker inherits the parent's already-advanced

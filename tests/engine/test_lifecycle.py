@@ -1,10 +1,13 @@
 """Simulator query-lifecycle tests (pause gaps, mid-run removal)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engine.simulation import Simulator
 from repro.motion.uniform import RandomWalkGenerator
-from repro.queries import BruteForceMonoQuery, IGERNMonoQuery, QueryPosition
+from repro.queries import BruteForceMonoQuery, IGERNBiQuery, IGERNMonoQuery, QueryPosition
 
 
 def make_sim(n=120, seed=2):
@@ -99,3 +102,36 @@ class TestRemoval:
         )
         result = sim.run(1)
         assert len(result["q"].ticks) == 2
+
+
+class TestRelease:
+    @pytest.mark.parametrize("mode", ["mono", "bi"])
+    @pytest.mark.parametrize(
+        "options",
+        [{"batch": True}, {"batch": False}, {"lease": True}],
+        ids=["batch", "no-batch", "lease"],
+    )
+    def test_dropped_simulator_frees_its_store_without_the_collector(
+        self, mode, options
+    ):
+        """Reference counting alone frees a dropped engine's grid: its
+        columns, row index and bucket row lists must not sit in a cycle
+        waiting for a full collection."""
+        categories = {"A": 0.5, "B": 0.5} if mode == "bi" else None
+        sim = Simulator(
+            RandomWalkGenerator(200, seed=4, step_sigma=0.04, categories=categories),
+            grid_size=16,
+            **options,
+        )
+        kind = IGERNMonoQuery if mode == "mono" else IGERNBiQuery
+        for i in range(3):
+            position = QueryPosition(sim.grid, fixed=(0.2 + 0.3 * i, 0.5))
+            sim.add_query(f"q{i}", kind(sim.grid, position))
+        sim.run(3)
+        store = weakref.ref(sim.grid._store)
+        gc.disable()
+        try:
+            del sim, position
+            assert store() is None
+        finally:
+            gc.enable()

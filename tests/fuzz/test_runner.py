@@ -1,10 +1,24 @@
 """Differential runner: lockstep execution, reporting, obs counters."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
-from repro.fuzz.runner import Divergence, FuzzReport, run_fuzz, run_scenario
+from repro.fuzz.runner import (
+    ORACLE,
+    PARTICIPANTS,
+    Divergence,
+    FuzzReport,
+    Participant,
+    run_fuzz,
+    run_scenario,
+)
 from repro.fuzz.scenario import Scenario, make_scenario
+from repro.geometry.point import Point
+from repro.queries.base import QueryFootprint
+from repro.serving import ShardCluster
 
 
 def _tiny_scenario(mode="mono", k=1, baseline=None, script=None):
@@ -60,6 +74,158 @@ class TestRunScenario:
             assert registry.counter("fuzz_scenarios_total").value == before + 1
         finally:
             obs.disable(clear=True)
+
+
+_PLANTED = "planted"
+
+
+def _plant(monkeypatch, row, corrupt):
+    """Call ``corrupt(sim, metrics)`` after every incremental tick of the
+    simulator the lockstep builds for ``row``, and of no other."""
+    build = Participant.simulator
+
+    def simulator(self, generator, **kwargs):
+        sim = build(self, generator, **kwargs)
+        if self is row:
+            step = sim.step
+
+            def planted_step():
+                out = step()
+                corrupt(sim, out)
+                return out
+
+            sim.step = planted_step
+        return sim
+
+    monkeypatch.setattr(Participant, "simulator", simulator)
+
+
+def _wrong_answer(sim, out):
+    out["igern"] = replace(out["igern"], answer=out["igern"].answer | {_PLANTED})
+
+
+def _moved_object(sim, out):
+    grid = sim.grid
+    oid = min(grid.positions_snapshot(), key=repr)
+    e = grid.extent
+    grid.move(oid, (e.xmin + 0.123 * e.width, e.ymin + 0.321 * e.height))
+
+
+def _unsound_state(sim, out):
+    sim.query("igern")._state.answer.add(_PLANTED)
+
+
+def _empty_footprint(sim, out):
+    sim.scheduler.update_footprint("igern", QueryFootprint(frozenset(), frozenset()))
+
+
+def _extra_candidate(sim, out):
+    sim.query("igern")._state.candidates[_PLANTED] = Point(0.0, 0.0)
+
+
+def _small_scenario():
+    """Mono, k=1: twelve objects on a 4x4 grid, four ticks of moves."""
+    rng = random.Random(3)
+    script = {
+        "initial": [[i, rng.random(), rng.random(), 0] for i in range(12)],
+        "ticks": [
+            {
+                "moves": [[i, rng.random(), rng.random()] for i in range(0, 12, 3)],
+                "inserts": [],
+                "removes": [],
+            }
+            for _ in range(4)
+        ],
+    }
+    return replace(_tiny_scenario(script=script), n_objects=12, n_ticks=4)
+
+
+def _run(monkeypatch, row, corrupt):
+    _plant(monkeypatch, row, corrupt)
+    return run_scenario(_small_scenario()).divergences
+
+
+class TestEveryRowIsLive:
+    """Each check of the lockstep table fires on each row it covers:
+    one participant at a time is corrupted, the others left alone."""
+
+    @pytest.mark.parametrize("row", PARTICIPANTS, ids=lambda row: row.side)
+    def test_wrong_answer_reported_under_the_rows_kind(self, row, monkeypatch):
+        divergences = _run(monkeypatch, row, _wrong_answer)
+        planted = [d for d in divergences if _PLANTED in d.actual]
+        assert planted, "the planted answer went unnoticed"
+        assert {d.kind for d in planted} == {row.kind}
+        assert {d.detail for d in planted} == {row.detail}
+        assert {d.name for d in planted} == {"igern"}
+        if row is not ORACLE:
+            # Every other side agrees with the oracle side: only the
+            # planted row diverges.
+            assert {d.kind for d in divergences} == {row.kind}
+
+    @pytest.mark.parametrize("row", PARTICIPANTS[1:], ids=lambda row: row.side)
+    def test_moved_object_reported_as_grid_sync(self, row, monkeypatch):
+        divergences = _run(monkeypatch, row, _moved_object)
+        assert {d.name for d in divergences if d.kind == "grid-sync"} == {
+            f"grid[{row.side}]"
+        }
+
+    @pytest.mark.parametrize("row", PARTICIPANTS, ids=lambda row: row.side)
+    def test_state_invariants_checked_where_the_row_asks(self, row, monkeypatch):
+        divergences = _run(monkeypatch, row, _unsound_state)
+        sites = {d.name for d in divergences if d.kind == "invariant"}
+        assert sites == ({f"igern[{row.side}]"} if row.invariants else set())
+
+    @pytest.mark.parametrize(
+        "row",
+        [row for row in PARTICIPANTS if row.options.get("scheduler")],
+        ids=lambda row: row.side,
+    )
+    def test_footprints_checked_where_the_row_asks(self, row, monkeypatch):
+        divergences = _run(monkeypatch, row, _empty_footprint)
+        # The stale footprint then skips the query, so its state lags
+        # and state invariants may fire too; only footprint sites count.
+        sites = {d.name for d in divergences if d.name.startswith("footprint:")}
+        expected = {f"footprint:igern[{row.side}]"} if row.footprints else set()
+        assert sites == expected
+
+    @pytest.mark.parametrize(
+        "row",
+        [row for row in PARTICIPANTS if row.monitored_as is not None],
+        ids=lambda row: row.side,
+    )
+    def test_monitored_set_compared_with_its_reference(self, row, monkeypatch):
+        divergences = _run(monkeypatch, row, _extra_candidate)
+        monitored = [d for d in divergences if d.detail == row.monitored_detail]
+        assert monitored and {d.kind for d in monitored} == {row.kind}
+        assert all(_PLANTED in d.actual for d in monitored)
+
+
+class TestServingParticipant:
+    def _run(self, monkeypatch, tick):
+        monkeypatch.setattr(ShardCluster, "tick", tick)
+        return run_scenario(_small_scenario(), serving=True).divergences
+
+    def test_wrong_answer_and_lease_state_reported(self, monkeypatch):
+        original = ShardCluster.tick
+
+        def tick(self, *args):
+            result = original(self, *args)
+            answer, skipped, reason = result.answers["igern"]
+            result.answers["igern"] = (answer + (_PLANTED,), skipped, reason)
+            result.leases[_PLANTED] = (0.0, False, False)
+            return result
+
+        serving = [d for d in self._run(monkeypatch, tick) if d.kind == "serving"]
+        assert {d.name for d in serving} == {"igern", "leases"}
+
+    def test_cluster_fault_reported(self, monkeypatch):
+        def tick(self, *args):
+            raise RuntimeError("planted cluster fault")
+
+        divergences = self._run(monkeypatch, tick)
+        assert {(d.kind, d.name, d.detail) for d in divergences} == {
+            ("serving", "cluster", "planted cluster fault")
+        }
 
 
 class TestDivergence:

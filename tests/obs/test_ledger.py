@@ -3,6 +3,9 @@ the ring bound, and the explain report."""
 
 import pytest
 
+from repro.engine.simulation import Simulator
+from repro.motion.uniform import RandomWalkGenerator
+from repro.obs.export import chrome_trace
 from repro.obs.ledger import (
     EVALUATED,
     MATCHING,
@@ -22,6 +25,7 @@ from repro.obs.ledger import (
     get_ledger,
     phase,
 )
+from repro.queries import IGERNMonoQuery, QueryPosition
 
 
 def _cost(query="q", tick=0, decision=EVALUATED, reason=REASON_INITIAL, **kw):
@@ -113,9 +117,9 @@ class TestTickRecord:
     def test_top_is_deterministic_on_wall_ties(self):
         record = TickRecord(tick=0)
         for name in ("zeta", "alpha", "mid"):
-            record.costs[name] = _cost(query=name, wall_time=1.0)
-        record.costs["skip"] = _cost(
-            query="skip", decision=SKIPPED, reason=REASON_DELTA_DISJOINT
+            record.costs.append(_cost(query=name, wall_time=1.0))
+        record.costs.append(
+            _cost(query="skip", decision=SKIPPED, reason=REASON_DELTA_DISJOINT)
         )
         top = record.top(2)
         assert [c.query for c in top] == ["alpha", "mid"]
@@ -127,14 +131,14 @@ class TestTickRecord:
             scheduler_time=0.001,
             dispatch_time=0.0005,
         )
-        record.costs["q"] = _cost(wall_time=0.004)
+        record.costs.append(_cost(wall_time=0.004))
         assert record.attributed_time() == pytest.approx(0.0075)
 
     def test_attributed_fraction_none_when_untimed(self):
         record = TickRecord(tick=0)
         assert record.attributed_fraction() is None
         record.total_time = 0.01
-        record.costs["q"] = _cost(wall_time=0.005)
+        record.costs.append(_cost(wall_time=0.005))
         assert record.attributed_fraction() == pytest.approx(0.5)
 
 
@@ -166,7 +170,7 @@ class TestLedgerRing:
         ledger.begin_tick(1)
         ledger.begin_tick(2)
         ledger.record(_cost(query="late", tick=1))
-        assert "late" in ledger.record_for(1).costs
+        assert [c.query for c in ledger.record_for(1).costs] == ["late"]
 
     def test_history_and_queries(self):
         ledger = QueryCostLedger()
@@ -289,3 +293,43 @@ class TestExplain:
         ledger.begin_tick(6)
         ledger.record(_cost(query="igern", tick=6, reason=REASON_INITIAL))
         assert "tick 6" in ledger.explain("igern")
+
+
+class TestSharedLedger:
+    def test_same_query_name_from_two_simulators_files_both_rows(self):
+        """Simulators sharing a ledger and a query name each file their
+        own row: the tick totals, the explain report, ``history()`` and
+        the Chrome counter tracks all account for both evaluations."""
+        ledger = QueryCostLedger()
+        ledger.enable()
+        sims = []
+        for seed in (1, 2):
+            sim = Simulator(
+                RandomWalkGenerator(80, seed=seed, step_sigma=0.05),
+                grid_size=8,
+                scheduler=False,
+                ledger=ledger,
+                flight=False,
+            )
+            sim.add_query(
+                "igern",
+                IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5))),
+            )
+            sims.append(sim)
+        for sim in sims:
+            sim.run(2)
+        record = ledger.record_for(2)
+        rows = record.rows("igern")
+        assert [c.query for c in record.costs] == ["igern", "igern"]
+        assert len(rows) == 2 and rows[0] is not rows[1]
+        assert [c.tick for c in ledger.history("igern")] == [0, 0, 1, 1, 2, 2]
+        report = ledger.explain("igern", tick=2)
+        assert report.count("query 'igern' tick 2 — evaluated") == 2
+        assert "2 queries (2 evaluated, 0 skipped)" in report
+        counters = [
+            e
+            for e in chrome_trace(ledger)["traceEvents"]
+            if e["ph"] == "C" and e["name"] == "ledger.query_wall_us"
+        ]
+        last = counters[-1]["args"]["igern"]
+        assert last == round(sum(c.wall_time for c in rows) * 1e6, 3)

@@ -11,6 +11,7 @@ guarantee: a two-process run sums to the single-process totals.
 """
 
 import multiprocessing
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.metric import MetricStats
 from repro.motion.uniform import RandomWalkGenerator
 from repro.obs.metrics import MetricsRegistry
 from repro.queries import IGERNMonoQuery, QueryPosition
+from repro.serving import QuerySpec, ShardCluster
 from repro.serving.counters import merge_stats, stats_delta, stats_snapshot
 
 
@@ -176,3 +178,78 @@ def test_two_process_run_sums_to_single_process_totals():
     # The workloads actually exercised the counters — a vacuous zero/zero
     # equality would not have caught the original bug.
     assert _total(merged) > 0
+
+
+# ----------------------------------------------------------------------
+# One process, several engines: every unit of work counted once
+# ----------------------------------------------------------------------
+
+#: Registry counter -> the process-global stat it mirrors.
+MIRRORED = {
+    "predicate_filter_hits_total": ("predicates", "filter_hits"),
+    "predicate_exact_fallbacks_total": ("predicates", "exact_fallbacks"),
+    "store_rows_scanned_total": ("store", "rows_scanned"),
+    "store_vectorized_filter_rows_total": ("store", "filter_rows"),
+    "store_exact_fallback_rows_total": ("store", "exact_rows"),
+    "network_dijkstra_runs_total": ("metric", "dijkstra_runs"),
+    "network_dijkstra_expansions_total": ("metric", "dijkstra_expansions"),
+    "network_distance_cache_hits_total": ("metric", "cache_hits"),
+    "network_distance_cache_misses_total": ("metric", "cache_misses"),
+}
+
+
+@pytest.mark.parametrize("n_sims", [1, 3])
+def test_simulators_sharing_a_registry_publish_only_their_own_work(n_sims):
+    registry = MetricsRegistry()
+    sims = []
+    for seed in range(n_sims):
+        sim = Simulator(
+            RandomWalkGenerator(300, seed=seed, step_sigma=0.03),
+            grid_size=8,
+            registry=registry,
+            flight=False,
+        )
+        sim.add_query(
+            "igern",
+            IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5))),
+        )
+        sims.append(sim)
+    before = stats_snapshot()
+    for sim in sims:
+        sim.execute_queries()
+    for _ in range(10):
+        for sim in sims:
+            sim.step()
+    worked = stats_delta(before, stats_snapshot())
+    assert worked["predicates"]["filter_hits"] > 0
+    assert worked["store"]["rows_scanned"] > 0
+    for counter, (group, key) in MIRRORED.items():
+        assert registry.counter(counter).value == worked[group][key], counter
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_inline_shards_do_not_merge_their_counts_twice(n_shards):
+    """Inline shards count into this process's singletons as they work;
+    collecting their counters must not add that work a second time."""
+    rng = random.Random(7)
+    initial = [(i, rng.random(), rng.random(), 0) for i in range(300)]
+    specs = [
+        QuerySpec(name=f"q{i}", point=(rng.random(), rng.random()))
+        for i in range(6)
+    ]
+    ticks = [
+        [(i, rng.random(), rng.random()) for i in rng.sample(range(300), 30)]
+        for _ in range(10)
+    ]
+    before = stats_snapshot()
+    with ShardCluster(n_shards, grid_size=8, transport="inline") as cluster:
+        cluster.load(initial)
+        for spec in specs:
+            cluster.add_query(spec)
+        cluster.initial_eval()
+        for moves in ticks:
+            cluster.tick(moves)
+        worked = stats_delta(before, stats_snapshot())
+        cluster.collect_counters()
+        assert stats_delta(before, stats_snapshot()) == worked
+    assert worked["predicates"]["filter_hits"] > 0

@@ -16,11 +16,10 @@ import pytest
 from repro.engine.simulation import Simulator
 from repro.fuzz.runner import run_fuzz
 from repro.geometry.point import Point
-from repro.metric import NetworkMetric
 from repro.motion.roadnet import RoadNetwork
-from repro.queries import IGERNBiQuery, IGERNMonoQuery, QueryPosition
+from repro.queries import QueryPosition
 from repro.queries.base import ContinuousQuery
-from repro.serving import QuerySpec, ShardCluster, ShardFault
+from repro.serving import QuerySpec, ShardCluster, ShardFault, build_query
 from repro.serving.router import straddled_shards
 from repro.serving.shard import PushFeed, decode_events
 
@@ -49,24 +48,7 @@ def _reference(initial, ticks, specs, *, lease=False, network=None):
     feed = PushFeed([(o, Point(x, y), c) for o, x, y, c in initial])
     sim = Simulator(feed, grid_size=GRID_SIZE, flight=False, lease=lease)
     for spec in specs:
-        position = (
-            QueryPosition(sim.grid, fixed=spec.point)
-            if spec.point is not None
-            else QueryPosition(sim.grid, query_id=spec.query_id)
-        )
-        metric = NetworkMetric(network) if spec.metric == "network" else None
-        if spec.mode == "mono":
-            query = IGERNMonoQuery(sim.grid, position, k=spec.k, metric=metric)
-        else:
-            query = IGERNBiQuery(
-                sim.grid,
-                position,
-                cat_a=spec.cat_a,
-                cat_b=spec.cat_b,
-                k=spec.k,
-                metric=metric,
-            )
-        sim.add_query(spec.name, query)
+        sim.add_query(spec.name, build_query(spec, sim, network))
     answers = [
         {n: tuple(sorted(m.answer)) for n, m in sim.execute_queries().items()}
     ]
@@ -237,12 +219,8 @@ def test_pause_resume_matches_single_process():
     # Reference with the same pause window (ticks 2-3 silent).
     feed = PushFeed([(o, Point(x, y), c) for o, x, y, c in initial])
     ref = Simulator(feed, grid_size=GRID_SIZE, flight=False)
-    ref.add_query(
-        "q0", IGERNMonoQuery(ref.grid, QueryPosition(ref.grid, fixed=spec.point), k=2)
-    )
-    ref.add_query(
-        "q1", IGERNMonoQuery(ref.grid, QueryPosition(ref.grid, fixed=other.point))
-    )
+    for query in (spec, other):
+        ref.add_query(query.name, build_query(query, ref, None))
     expected = [
         {n: tuple(sorted(m.answer)) for n, m in ref.execute_queries().items()}
     ]
@@ -277,7 +255,7 @@ def test_pause_resume_matches_single_process():
 def test_fuzz_scenarios_with_serving_participant():
     """Generated coverage: the serving cluster rides the differential
     fuzz stream (mono/bi, k<=3, churn, road networks, lease mode) and
-    must never diverge from the other five lockstep configurations."""
+    must never diverge from the lockstep table's simulators."""
     report = run_fuzz(seed=8162, max_scenarios=6, serving=True)
     assert report.ok, report.summary()
     assert report.scenarios == 6

@@ -1,6 +1,6 @@
 """Hypothesis stateful tests: random operation sequences, exact answers.
 
-Three state machines:
+Five state machines:
 
 - :class:`GridIndexMachine` drives the grid index with random inserts,
   moves and removals and checks it against a dictionary model;
@@ -8,27 +8,22 @@ Three state machines:
   incremental IGERN executions (mono and bi simultaneously) and checks
   both answers against the brute-force oracle after every step — the
   operational form of Theorems 1-4 under adversarial update sequences;
-- :class:`SchedulerLockstepMachine` runs a scheduler-on simulator and a
-  lease-on simulator against the scheduler-off oracle configuration over
-  identical random ticks (movement, within-budget jitter, churn,
-  pause/resume) and asserts the answers never differ — the footprint
-  skip test must be conservative under any event sequence, and a held
-  answer lease must never certify a stale answer (pause drops the
-  lease; resume forces re-evaluation);
-- :class:`BatchLockstepMachine` does the same with a third simulator
-  running the shared-execution batch path and a fourth running
-  batch + leases, with several overlapping queries registered so the
-  per-tick context genuinely memoizes across them — neither batching
-  nor lease-held skips may ever change an answer, under any
-  interleaving of movement, churn and pause/resume;
+- :class:`SchedulerLockstepMachine` and :class:`BatchLockstepMachine`
+  step one simulator per row of the fuzz lockstep table (scheduler off,
+  scheduler on, batching, the mapping store, leases) over identical
+  random ticks (movement, within-budget jitter, churn, pause/resume)
+  and assert the answers never differ from the scheduler-off oracle
+  side's or the brute force's — the footprint skip test must be
+  conservative, batching answer-neutral, and a held lease must never
+  certify a stale answer, under any event sequence.  The first
+  monitors one query; the second three overlapping ones, so the
+  per-tick context genuinely memoizes across them;
 - :class:`StoreLockstepMachine` drives the columnar and mapping storage
   backends through identical mutation sequences (single ops and
   ``apply_updates`` batches) and asserts observational identity
   plus the columnar store's internal row/bucket/free-list invariants at
   every step.
 """
-
-import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -42,13 +37,14 @@ from hypothesis.stateful import (
 
 from repro.core.bi import BiIGERN
 from repro.core.mono import MonoIGERN
-from repro.engine.simulation import Simulator
+from repro.fuzz.runner import ORACLE, PARTICIPANTS
 from repro.grid.cell import cell_key_of
 from repro.grid.index import GridIndex
 from repro.grid.search import GridSearch
 from repro.motion.churn import TickEvents
-from repro.queries import IGERNMonoQuery, QueryPosition
+from repro.queries import QueryPosition
 from repro.queries.brute import BruteForceMonoQuery, brute_bi_rnn, brute_mono_rnn
+from repro.serving import QuerySpec, build_query
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(
     lambda v: round(v, 6)
@@ -189,66 +185,54 @@ class _EventFeed:
         return events
 
 
-class SchedulerLockstepMachine(RuleBasedStateMachine):
-    """Scheduler-on must equal scheduler-off under any event sequence.
+class _TableLockstepMachine(RuleBasedStateMachine):
+    """Every configuration of the fuzz lockstep table
+    (:data:`repro.fuzz.runner.PARTICIPANTS`) stepped over identical
+    random ticks.
 
-    Random ticks mix boundary-crossing moves, within-cell jitter, churn
-    and empty ticks (the pure skip path), plus pause/resume of the
-    monitored query (the resume-forces-reevaluation path).  A third,
-    lease-on simulator steps over the same ticks: its answer is served
-    from a held lease whenever the safe-region contract verifiably
-    holds, so the tiny-jitter rule (displacements far inside any
-    plausible object budget) exercises the held path while ordinary
-    moves and churn break leases, and pause drops the lease outright.
-    After every tick all simulators' IGERN answers must be identical,
-    and equal to the brute-force answer computed on the oracle side.
+    Ticks mix boundary-crossing moves, within-budget jitter (tiny
+    displacements, so leases survive and the lease side's held path
+    fires instead of every lease breaking), churn and empty ticks (the
+    pure skip path), plus pause/resume of a registered query (pause
+    drops its lease; resume forces re-evaluation).  Subclasses choose
+    the initial objects and the queries (``_SPECS``, registered in every
+    simulator) and assert their answers.
     """
 
-    _INITIAL = [
-        (0, (0.52, 0.48), 0),
-        (1, (0.25, 0.70), 0),
-        (2, (0.80, 0.20), 0),
-        (3, (0.10, 0.10), 0),
-        (4, (0.65, 0.85), 0),
-    ]
-    _QPOS = (0.5, 0.5)
+    _INITIAL: list = []
+    _SPECS: list = []
 
     def __init__(self):
         super().__init__()
-        self.feed_on = _EventFeed(self._INITIAL)
-        self.feed_off = _EventFeed(self._INITIAL)
-        self.feed_lease = _EventFeed(self._INITIAL)
-        self.sim_on = Simulator(self.feed_on, grid_size=6, scheduler=True)
-        self.sim_off = Simulator(self.feed_off, grid_size=6, scheduler=False)
-        self.sim_lease = Simulator(
-            self.feed_lease, grid_size=6, scheduler=True, lease=True
-        )
-        for sim in (self.sim_on, self.sim_off, self.sim_lease):
-            sim.add_query(
-                "mono",
-                IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=self._QPOS)),
-            )
-        self.sim_off.add_query(
-            "brute",
-            BruteForceMonoQuery(
-                self.sim_off.grid, QueryPosition(self.sim_off.grid, fixed=self._QPOS)
-            ),
-        )
-        self.sim_on.execute_queries()
-        self.sim_off.execute_queries()
-        self.sim_lease.execute_queries()
+        self.feeds = {}
+        self.sims = {}
+        for row in PARTICIPANTS:
+            feed = _EventFeed(self._INITIAL)
+            sim = row.simulator(feed, grid_size=6)
+            self._register(row, sim)
+            sim.execute_queries()
+            self.feeds[row.side] = feed
+            self.sims[row.side] = sim
+        self.oracle = self.sims[ORACLE.side]
         self.alive = {oid for oid, _, _ in self._INITIAL}
         self.next_id = 10
         self.moves = {}
         self.inserts = []
         self.removes = set()
-        self.paused = False
+        self.paused = set()
         #: Answers go stale at pause and stay stale until the first tick
         #: after resume (which ``_force_eval`` guarantees is evaluated).
-        self.stale = False
+        self.stale = set()
+
+    def _register(self, row, sim):
+        for spec in self._SPECS:
+            sim.add_query(spec.name, build_query(spec, sim, None))
 
     def _movable(self):
         return sorted(self.alive - self.removes)
+
+    def _names(self):
+        return [spec.name for spec in self._SPECS]
 
     @precondition(lambda self: self._movable())
     @rule(data=st.data(), pos=point)
@@ -276,173 +260,19 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
     )
     def queue_jitter(self, data, dx, dy):
         """A displacement far inside any plausible lease budget — the
-        rule that lets the lease simulator's held-skip path actually
-        fire instead of every lease breaking immediately."""
+        rule that lets the lease side's held-skip path actually fire."""
         oid = data.draw(st.sampled_from(self._movable()))
-        pos = self.sim_off.grid.position(oid)
+        pos = self.oracle.grid.position(oid)
         self.moves[oid] = (
             min(1.0, max(0.0, pos.x + dx)),
             min(1.0, max(0.0, pos.y + dy)),
         )
 
-    @precondition(lambda self: not self.paused)
-    @rule()
-    def pause(self):
-        # Pausing the lease simulator drops its lease outright — the
-        # lease-invalidation path the resume rule then forces through a
-        # full re-evaluation.
-        self.sim_on.pause_query("mono")
-        self.sim_off.pause_query("mono")
-        self.sim_lease.pause_query("mono")
-        self.paused = True
-        self.stale = True
-
-    @precondition(lambda self: self.paused)
-    @rule()
-    def resume(self):
-        self.sim_on.resume_query("mono")
-        self.sim_off.resume_query("mono")
-        self.sim_lease.resume_query("mono")
-        self.paused = False
-
-    @rule()
-    def tick(self):
-        events = TickEvents(
-            moves=sorted(self.moves.items()),
-            inserts=list(self.inserts),
-            removes=sorted(self.removes),
-        )
-        self.alive -= self.removes
-        self.alive.update(oid for oid, _, _ in self.inserts)
-        self.moves, self.inserts, self.removes = {}, [], set()
-        self.feed_on.pending = events
-        self.feed_off.pending = events
-        self.feed_lease.pending = events
-        self.sim_on.step()
-        self.sim_off.step()
-        self.sim_lease.step()
-        if not self.paused:
-            self.stale = False
-
-    @invariant()
-    def grids_in_sync(self):
-        snap_off = self.sim_off.grid.positions_snapshot()
-        assert self.sim_on.grid.positions_snapshot() == snap_off
-        assert self.sim_lease.grid.positions_snapshot() == snap_off
-
-    @invariant()
-    def answers_identical(self):
-        on = self.sim_on.query("mono").answer
-        off = self.sim_off.query("mono").answer
-        lease = self.sim_lease.query("mono").answer
-        assert on == off
-        # The lease path may have skipped the evaluation entirely on a
-        # held lease — its answer must still be the exact one.
-        assert lease == off
-        if self.paused or self.stale:
-            return
-        expected = brute_mono_rnn(
-            self.sim_off.grid.positions_snapshot(), self._QPOS
-        )
-        assert set(off) == expected
-
-
-class BatchLockstepMachine(RuleBasedStateMachine):
-    """Batch-on must equal batch-off and the oracle under any sequence.
-
-    Four simulators step in lockstep over identical random ticks: the
-    shared-execution batch path, the plain scheduler path, the
-    scheduler-off oracle configuration, and the batch path with answer
-    leases on — held leases then skip *publications* for some queries
-    while others in the same tick evaluate batched.  Three mono queries
-    sit close together so their footprints overlap and the shared tick
-    context actually serves cross-query hits; pause/resume of one of
-    them mixes batched, skipped and lease-dropped evaluations within
-    the same tick, and the tiny-jitter rule keeps some leases held
-    across ticks.
-    """
-
-    _INITIAL = [
-        (0, (0.52, 0.48), 0),
-        (1, (0.47, 0.53), 0),
-        (2, (0.80, 0.20), 0),
-        (3, (0.55, 0.55), 0),
-        (4, (0.30, 0.70), 0),
-    ]
-    _QPOINTS = {"q0": (0.50, 0.50), "q1": (0.53, 0.47), "q2": (0.45, 0.55)}
-
-    def __init__(self):
-        super().__init__()
-        self.feeds = [_EventFeed(self._INITIAL) for _ in range(4)]
-        self.sim_batch = Simulator(
-            self.feeds[0], grid_size=6, scheduler=True, batch=True
-        )
-        self.sim_plain = Simulator(
-            self.feeds[1], grid_size=6, scheduler=True, batch=False
-        )
-        self.sim_off = Simulator(self.feeds[2], grid_size=6, scheduler=False)
-        self.sim_lease = Simulator(
-            self.feeds[3], grid_size=6, scheduler=True, batch=True, lease=True
-        )
-        self.sims = (self.sim_batch, self.sim_plain, self.sim_off, self.sim_lease)
-        for sim in self.sims:
-            for name, qpos in self._QPOINTS.items():
-                sim.add_query(
-                    name,
-                    IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=qpos)),
-                )
-            sim.execute_queries()
-        self.alive = {oid for oid, _, _ in self._INITIAL}
-        self.next_id = 10
-        self.moves = {}
-        self.inserts = []
-        self.removes = set()
-        self.paused = set()
-        self.stale = set()
-
-    def _movable(self):
-        return sorted(self.alive - self.removes)
-
-    @precondition(lambda self: self._movable())
-    @rule(data=st.data(), pos=point)
-    def queue_move(self, data, pos):
-        oid = data.draw(st.sampled_from(self._movable()))
-        self.moves[oid] = pos
-
-    @rule(pos=point)
-    def queue_insert(self, pos):
-        self.inserts.append((self.next_id, pos, 0))
-        self.next_id += 1
-
-    @precondition(lambda self: self._movable())
-    @rule(data=st.data())
-    def queue_remove(self, data):
-        oid = data.draw(st.sampled_from(self._movable()))
-        self.removes.add(oid)
-        self.moves.pop(oid, None)
-
-    @precondition(lambda self: self._movable())
-    @rule(
-        data=st.data(),
-        dx=st.floats(min_value=-1e-7, max_value=1e-7, allow_nan=False),
-        dy=st.floats(min_value=-1e-7, max_value=1e-7, allow_nan=False),
-    )
-    def queue_jitter(self, data, dx, dy):
-        """A within-budget displacement so leases survive the tick."""
-        oid = data.draw(st.sampled_from(self._movable()))
-        pos = self.sim_off.grid.position(oid)
-        self.moves[oid] = (
-            min(1.0, max(0.0, pos.x + dx)),
-            min(1.0, max(0.0, pos.y + dy)),
-        )
-
-    @precondition(lambda self: len(self.paused) < len(self._QPOINTS))
+    @precondition(lambda self: len(self.paused) < len(self._SPECS))
     @rule(data=st.data())
     def pause(self, data):
-        name = data.draw(
-            st.sampled_from(sorted(set(self._QPOINTS) - self.paused))
-        )
-        for sim in self.sims:
+        name = data.draw(st.sampled_from(sorted(set(self._names()) - self.paused)))
+        for sim in self.sims.values():
             sim.pause_query(name)
         self.paused.add(name)
         self.stale.add(name)
@@ -451,7 +281,7 @@ class BatchLockstepMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def resume(self, data):
         name = data.draw(st.sampled_from(sorted(self.paused)))
-        for sim in self.sims:
+        for sim in self.sims.values():
             sim.resume_query(name)
         self.paused.discard(name)
 
@@ -465,33 +295,93 @@ class BatchLockstepMachine(RuleBasedStateMachine):
         self.alive -= self.removes
         self.alive.update(oid for oid, _, _ in self.inserts)
         self.moves, self.inserts, self.removes = {}, [], set()
-        for feed in self.feeds:
+        for feed in self.feeds.values():
             feed.pending = events
-        for sim in self.sims:
+        for sim in self.sims.values():
             sim.step()
         self.stale &= self.paused
 
     @invariant()
     def grids_in_sync(self):
-        snap_off = self.sim_off.grid.positions_snapshot()
-        assert self.sim_batch.grid.positions_snapshot() == snap_off
-        assert self.sim_plain.grid.positions_snapshot() == snap_off
-        assert self.sim_lease.grid.positions_snapshot() == snap_off
+        snapshot = self.oracle.grid.positions_snapshot()
+        for side, sim in self.sims.items():
+            assert sim.grid.positions_snapshot() == snapshot, side
+
+
+class SchedulerLockstepMachine(_TableLockstepMachine):
+    """One monitored query: skipping, batching, the mapping layout and
+    held leases must never change its answer under any event sequence.
+
+    After every tick every side's answer must equal the oracle side's,
+    and (unless paused or stale) the brute-force answer.  The oracle
+    side also hosts a brute-force executor.
+    """
+
+    _INITIAL = [
+        (0, (0.52, 0.48), 0),
+        (1, (0.25, 0.70), 0),
+        (2, (0.80, 0.20), 0),
+        (3, (0.10, 0.10), 0),
+        (4, (0.65, 0.85), 0),
+    ]
+    _QPOS = (0.5, 0.5)
+    _SPECS = [QuerySpec(name="mono", point=_QPOS)]
+
+    def _register(self, row, sim):
+        super()._register(row, sim)
+        if row is ORACLE:
+            sim.add_query(
+                "brute",
+                BruteForceMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=self._QPOS)),
+            )
+
+    @invariant()
+    def answers_identical(self):
+        off = self.oracle.query("mono").answer
+        for side, sim in self.sims.items():
+            # The lease side may have skipped the evaluation entirely on
+            # a held lease — its answer must still be the exact one.
+            assert sim.query("mono").answer == off, side
+        if "mono" in self.stale:
+            return
+        expected = brute_mono_rnn(self.oracle.grid.positions_snapshot(), self._QPOS)
+        assert set(off) == expected
+
+
+class BatchLockstepMachine(_TableLockstepMachine):
+    """Three overlapping queries: batching must stay answer-neutral.
+
+    The queries sit close together so their footprints overlap and the
+    shared tick context actually serves cross-query hits; pausing one
+    mixes batched, skipped and lease-dropped evaluations within the same
+    tick, and held leases skip publications for some queries while
+    others evaluate batched.
+    """
+
+    _INITIAL = [
+        (0, (0.52, 0.48), 0),
+        (1, (0.47, 0.53), 0),
+        (2, (0.80, 0.20), 0),
+        (3, (0.55, 0.55), 0),
+        (4, (0.30, 0.70), 0),
+    ]
+    _SPECS = [
+        QuerySpec(name="q0", point=(0.50, 0.50)),
+        QuerySpec(name="q1", point=(0.53, 0.47)),
+        QuerySpec(name="q2", point=(0.45, 0.55)),
+    ]
 
     @invariant()
     def answers_identical_and_exact(self):
-        snapshot = self.sim_off.grid.positions_snapshot()
-        for name, qpos in self._QPOINTS.items():
-            batch = self.sim_batch.query(name).answer
-            plain = self.sim_plain.query(name).answer
-            off = self.sim_off.query(name).answer
-            lease = self.sim_lease.query(name).answer
-            assert batch == plain == off
-            # Held-lease skips must serve the exact answer verbatim.
-            assert lease == off
-            if name in self.paused or name in self.stale:
+        snapshot = self.oracle.grid.positions_snapshot()
+        for spec in self._SPECS:
+            off = self.oracle.query(spec.name).answer
+            for side, sim in self.sims.items():
+                # Held-lease skips must serve the exact answer verbatim.
+                assert sim.query(spec.name).answer == off, (side, spec.name)
+            if spec.name in self.stale:
                 continue
-            assert set(off) == brute_mono_rnn(snapshot, qpos)
+            assert set(off) == brute_mono_rnn(snapshot, spec.point)
 
 
 class StoreLockstepMachine(RuleBasedStateMachine):
