@@ -32,7 +32,7 @@ def main() -> None:
     algo = MonoIGERN(grid)
     state, report = algo.initial(QUERY)
     print("MONO initial:")
-    print("  candidates:", sorted(state.candidates))
+    print("  candidates:", sorted(state.monitored))
     print("  answer:", sorted(report.answer))
     print(render_query_state(state, grid))
     print()
@@ -42,7 +42,7 @@ def main() -> None:
     grid.move(7, (0.40, 0.44))
     report = algo.incremental(state, QUERY)
     print("MONO incremental after moves (3 leaves, 7 enters):")
-    print("  candidates:", sorted(state.candidates))
+    print("  candidates:", sorted(state.monitored))
     print("  answer:", sorted(report.answer))
     print(render_query_state(state, grid))
 

@@ -18,63 +18,37 @@ B objects can be answers — yet IGERN keeps the same structure:
     Redraws bisectors when ``q_A`` or a monitored A object moved, absorbs
     A objects that entered the alive region (Phase I tightening), cleans
     ``NN_A``, and re-verifies the alive region's B objects as in Phase II.
+
+The region maintenance is :class:`repro.core.region.RegionCore`, shared
+with the monochromatic algorithm and tightened over ``cat_a``; ``NN_A`` is
+the state's ``monitored`` dict.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Set, Tuple
 
-from repro.core.candidates import (
-    normalize_prune_mode,
-    prune_candidates,
-    prune_monitored,
-)
-from repro.core.state import (
-    SCAN_CELL_LIMIT as _SCAN_CELL_LIMIT,
-    BiState,
-    ObjectId,
-    StepReport,
-)
-from repro.geometry.bisector import bisector_halfplane
-from repro.geometry.point import Point, dist_sq
-from repro.grid.alive import AliveCellGrid
-from repro.grid.index import Category, GridIndex
+from repro.core.region import RegionCore
+from repro.core.state import SCAN_CELL_LIMIT, RegionState, StepReport
+from repro.geometry.point import dist_sq
+from repro.grid.index import Category, GridIndex, ObjectId
 from repro.grid.search import GridSearch, SearchKind
 from repro.obs.ledger import phase
 
 
-class BiIGERN:
+class BiIGERN(RegionCore):
     """Continuous bichromatic RNN monitoring for one type-A query.
 
-    Parameters
-    ----------
-    grid:
-        Shared grid index holding both A and B objects (distinguished by
-        their category tag).
-    cat_a, cat_b:
-        The category labels of the two object types.
-    query_id:
-        Id of the query inside the grid when ``q_A`` is itself an indexed
-        A object; excluded from ``NN_A`` discovery and from the "nearest A"
-        verification (where only its *position* competes, as the query).
-    k:
-        RkNN extension (beyond the paper, mirroring the monochromatic
-        one): a B object is reported when fewer than ``k`` A objects are
-        strictly closer to it than the query (``k = 1`` is the paper's
-        bichromatic RNN).
-    prune:
-        ``NN_A``-cleaning policy: ``"guarded"`` (default), ``"literal"``
-        (the paper's rule verbatim, region rebuilt from survivors) or
-        ``"off"``; booleans alias guarded/off.  See
-        :class:`repro.core.mono.MonoIGERN`.
-    search:
-        Optional shared :class:`GridSearch` for operation accounting.
-    shared_context:
-        Optional per-tick :class:`repro.grid.context.SharedTickContext`
-        (normally bound by the batch executor).  Verification probes and
-        nearest-A absorption searches then run through the tick-wide
-        memos — answers stay bit-identical to the cold path; only
-        redundant searches are skipped.
+    Takes the parameters of :class:`repro.core.region.RegionCore` plus
+    the two category labels: ``cat_a`` is the query's type (the
+    monitored ``NN_A`` set and the witnesses), ``cat_b`` the answers'.
+    ``query_id``, when ``q_A`` is itself an indexed A object, is excluded
+    from ``NN_A`` discovery and from the "nearest A" verification (where
+    only its *position* competes, as the query).  ``k`` extends the paper
+    as in the monochromatic case: a B object is reported when fewer than
+    ``k`` A objects are strictly closer to it than the query.  With a
+    ``shared_context`` the nearest-A absorption searches also run through
+    the tick-wide memos.
     """
 
     def __init__(
@@ -84,45 +58,24 @@ class BiIGERN:
         cat_b: Category = "B",
         query_id: Optional[ObjectId] = None,
         k: int = 1,
-        prune: "str | bool" = "guarded",
+        prune: str = "guarded",
         search: Optional[GridSearch] = None,
         shared_context=None,
         metric=None,
     ):
         if cat_a == cat_b:
             raise ValueError("bichromatic query needs two distinct categories")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        # Bisector pruning is a Euclidean theorem; non-Euclidean metrics
-        # must go through repro.core.network instead (the adapters in
-        # repro.queries dispatch on metric.euclidean).
-        AliveCellGrid.require_euclidean(metric)
-        self.metric = metric
-        self.grid = grid
+        super().__init__(grid, query_id, k, prune, search, shared_context, metric)
         self.cat_a = cat_a
         self.cat_b = cat_b
-        self.query_id = query_id
-        self.k = k
-        self.prune = normalize_prune_mode(prune)
-        self.search = search if search is not None else GridSearch(grid)
-        self.shared_context = shared_context
-        #: Active :class:`repro.obs.ledger.QueryTickCost` (bound by the
-        #: engine per evaluation) — ``None`` keeps phase timing off.
-        self.cost = None
 
     # ------------------------------------------------------------------
     # Step 1: initial answer (Algorithm 3)
     # ------------------------------------------------------------------
 
-    def initial(self, qpos: Iterable[float]) -> "tuple[BiState, StepReport]":
+    def initial(self, qpos: Iterable[float]) -> "tuple[RegionState, StepReport]":
         """Compute the first answer, monitored region and ``NN_A`` set."""
-        qx, qy = qpos
-        q = Point(qx, qy)
-        state = BiState(
-            qpos=q,
-            alive=AliveCellGrid(self.grid.size, self.grid.extent, k=self.k),
-        )
-        self._bind_context(state)
+        state = self._new_state(qpos)
         cost = self.cost
         # Phase I: clip the region toward the nearest A objects.
         with phase(cost, "bi.initial.tighten"):
@@ -139,18 +92,16 @@ class BiIGERN:
     # Step 2: incremental maintenance (Algorithm 4)
     # ------------------------------------------------------------------
 
-    def incremental(self, state: BiState, qpos: Iterable[float]) -> StepReport:
+    def incremental(self, state: RegionState, qpos: Iterable[float]) -> StepReport:
         """Maintain the answer for the current tick, updating ``state``."""
-        qx, qy = qpos
-        q = Point(qx, qy)
         self._bind_context(state)
         cost = self.cost
-        movement = self._refresh_moved(state, q)
+        movement = self._refresh_moved(state, qpos)
         if movement:
             with phase(cost, "bi.incremental.rebuild"):
                 self._rebuild_region(state)
         grid = self.grid
-        if state.alive.alive_cell_bound() <= _SCAN_CELL_LIMIT:
+        if state.alive.alive_cell_bound() <= SCAN_CELL_LIMIT:
             # Fast path: one scan of the small monitored region serves both
             # the Phase I tightening (absorb the A objects) and the Phase II
             # verification (resolve the B objects).  B objects whose cells
@@ -158,9 +109,9 @@ class BiIGERN:
             # shared enumeration stays sound.
             with phase(cost, "bi.incremental.tighten"):
                 rows = self.search.region_objects_by_distance(
-                    q, state.alive, kind=SearchKind.BOUNDED
+                    state.qpos, state.alive, kind=SearchKind.BOUNDED
                 )
-                excluded = self._excluded_a(state)
+                excluded = self._excluded(state)
                 found = 0
                 pending = []
                 for _, oid in rows:
@@ -170,7 +121,7 @@ class BiIGERN:
                         pos = grid.position(oid)
                         if not state.alive.is_alive(grid.cell_key(pos)):
                             continue
-                        self._absorb(state, oid)
+                        self._absorb(state, oid, pos)
                         found += 1
                     else:
                         pending.append(oid)
@@ -195,136 +146,8 @@ class BiIGERN:
             pruned=pruned,
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _report(
-        self,
-        state: BiState,
-        answer: Set[ObjectId],
-        is_initial: bool,
-        movement_rebuild: bool = False,
-        tightened: int = 0,
-        pruned: int = 0,
-    ) -> StepReport:
-        alive_cells = state.alive.alive_count()
-        return StepReport(
-            answer=frozenset(answer),
-            monitored=frozenset(state.nn_a),
-            alive_cells=alive_cells,
-            alive_fraction=alive_cells / float(self.grid.size * self.grid.size),
-            is_initial=is_initial,
-            movement_rebuild=movement_rebuild,
-            tightened=tightened,
-            pruned=pruned,
-        )
-
-    def _bind_context(self, state: BiState) -> None:
-        """Attach (or detach) the tick's shared context to this query's
-        alive grid and search (see :meth:`MonoIGERN._bind_context`)."""
-        ctx = self.shared_context
-        if ctx is not None:
-            ctx.adopt_alive(state.alive)
-        else:
-            state.alive.shared_classify = None
-        self.search.shared_context = ctx
-
-    def _prune(self, state: BiState) -> int:
-        """Clean ``NN_A`` according to the configured policy."""
-        if self.prune == "guarded":
-            return prune_monitored(state.nn_a, state.qpos, state.alive, self.k)
-        if self.prune == "literal":
-            removed = prune_candidates(state.nn_a, state.qpos, self.k)
-            if removed:
-                self._rebuild_region(state)
-            return removed
-        return 0
-
-    def _excluded_a(self, state: BiState) -> Set[ObjectId]:
-        excluded = set(state.nn_a)
-        if self.query_id is not None:
-            excluded.add(self.query_id)
-        return excluded
-
-    def _refresh_moved(self, state: BiState, q: Point) -> bool:
-        """Detect query / monitored-A movement; refresh snapshots."""
-        moved = q != state.qpos
-        state.qpos = q
-        grid = self.grid
-        gone = [oid for oid in state.nn_a if oid not in grid]
-        for oid in gone:
-            del state.nn_a[oid]
-            moved = True
-        for oid, snapshot in state.nn_a.items():
-            current = grid.position(oid)
-            if current != snapshot:
-                state.nn_a[oid] = current
-                moved = True
-        return moved
-
-    def _rebuild_region(self, state: BiState) -> None:
-        q = state.qpos
-        state.alive.rebuild(
-            bisector_halfplane(q, pos)
-            for pos in state.nn_a.values()
-            if pos != q
-        )
-
-    def _absorb(self, state: BiState, oid: ObjectId) -> None:
-        """Add an A object to ``NN_A`` and clip the region by its bisector."""
-        pos = self.grid.position(oid)
-        state.nn_a[oid] = pos
-        if pos != state.qpos:
-            state.alive.add_halfplane(bisector_halfplane(state.qpos, pos))
-
-    def _tighten(self, state: BiState, kind: SearchKind) -> int:
-        """Phase I: absorb every A object inside the alive region.
-
-        The initial step (``CONSTRAINED``) runs the paper's loop of
-        nearest-in-alive searches; the incremental step (``BOUNDED``)
-        scans the small monitored region once in distance order — the
-        "bounded NN done only once" of the paper's cost model.
-        """
-        q = state.qpos
-        search = self.search
-        excluded = self._excluded_a(state)
-        grid = self.grid
-        found = 0
-        # One-pass scan while the region is small (steady state); fall
-        # back to the output-sensitive best-first loop when movement
-        # momentarily unbounds the region (see MonoIGERN._tighten).
-        use_scan = (
-            kind is SearchKind.BOUNDED
-            and state.alive.alive_cell_bound() <= _SCAN_CELL_LIMIT
-        )
-        if use_scan:
-            for _, oid in search.region_objects_by_distance(
-                q, state.alive, category=self.cat_a, exclude=excluded, kind=kind
-            ):
-                pos = grid.position(oid)
-                if not state.alive.is_alive(grid.cell_key(pos)):
-                    continue
-                self._absorb(state, oid)
-                found += 1
-            return found
-        while True:
-            hit = search.nearest(
-                q,
-                exclude=excluded,
-                category=self.cat_a,
-                alive=state.alive,
-                kind=kind,
-            )
-            if hit is None:
-                return found
-            oid, _ = hit
-            self._absorb(state, oid)
-            excluded.add(oid)
-            found += 1
-
     def _verify(
-        self, state: BiState, pending: Optional[list] = None
+        self, state: RegionState, pending: Optional[list] = None
     ) -> Tuple[Set[ObjectId], int]:
         """Phase II: resolve the B objects inside the alive region.
 
@@ -395,8 +218,8 @@ class BiIGERN:
                     kind=SearchKind.UNCONSTRAINED,
                 )
             oa = hit[0] if hit is not None else None
-            if oa is not None and oa not in state.nn_a:
-                self._absorb(state, oa)
+            if oa is not None and oa not in state.monitored:
+                self._absorb(state, oa, grid.position(oa))
                 extra += 1
         if extra:
             # One cleaning pass at the end of the scan: equivalent to the

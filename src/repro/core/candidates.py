@@ -30,15 +30,7 @@ PRUNE_MODES = ("guarded", "literal", "off")
 
 
 def normalize_prune_mode(mode) -> str:
-    """Map a prune-policy argument to one of :data:`PRUNE_MODES`.
-
-    Booleans are accepted as aliases for backward compatibility: ``True``
-    means the default guarded policy, ``False`` disables cleaning.
-    """
-    if mode is True:
-        return "guarded"
-    if mode is False:
-        return "off"
+    """Validate a prune-policy argument: one of :data:`PRUNE_MODES`."""
     if mode in PRUNE_MODES:
         return mode
     raise ValueError(f"unknown prune mode {mode!r}; expected one of {PRUNE_MODES}")

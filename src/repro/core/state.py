@@ -8,23 +8,22 @@ The whole point of IGERN is that an incremental execution needs only
   ``NN_A`` in the bichromatic case) with a position snapshot per object so
   movement can be detected,
 
-rather than the whole space.  These live in :class:`MonoState` /
-:class:`BiState` and are threaded through consecutive incremental steps.
+rather than the whole space.  Both flavours keep them in one
+:class:`RegionState`, threaded through consecutive incremental steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.geometry.point import Point, dist, dist_sq
 from repro.grid.alive import AliveCellGrid
-
-ObjectId = Hashable
+from repro.grid.index import Category, ObjectId
 
 #: Above this many bounding-box cells, the incremental tightening step
 #: switches from the one-pass region scan to the unbounded best-first
-#: loop (see ``MonoIGERN._tighten`` / ``BiIGERN._tighten``).  The tick
+#: loop (see ``repro.core.region.RegionCore._tighten``).  The tick
 #: scheduler's footprints are only valid while the executor stays on the
 #: scan path, so the same constant gates both decisions.
 SCAN_CELL_LIMIT = 48
@@ -100,34 +99,61 @@ class StepReport:
 
 
 @dataclass
-class MonoState:
-    """Monitored state of a monochromatic IGERN query between executions."""
+class RegionState:
+    """Monitored state of an IGERN query between executions.
+
+    ``monitored`` is the paper's ``RNNcand`` for a monochromatic query
+    and ``NN_A`` for a bichromatic one: the objects whose bisectors with
+    the query carve ``alive``, each with the position snapshot that
+    movement detection compares against.  ``cat_a`` / ``cat_b`` are
+    ``None`` for a monochromatic query; for a bichromatic one the
+    monitored objects are of ``cat_a`` and the answers of ``cat_b``.
+    """
 
     qpos: Point
-    candidates: Dict[ObjectId, Point] = field(default_factory=dict)
-    alive: AliveCellGrid = None  # type: ignore[assignment]
+    alive: AliveCellGrid
+    cat_a: Optional[Category] = None
+    cat_b: Optional[Category] = None
+    monitored: Dict[ObjectId, Point] = field(default_factory=dict)
     answer: Set[ObjectId] = field(default_factory=set)
 
     def footprint_cells(self, grid, cap: int = FOOTPRINT_CELL_CAP) -> Optional[set]:
         """The cells the next incremental step's outcome can depend on.
 
-        The monitored alive region (tightening reads exactly these cells
-        on the scan path) plus, per candidate ``c``, a cover of the
-        witness ball ``B(c, dist(c, q))`` (verification counts the
-        objects strictly inside it).  Returns ``None`` when no valid
-        bounded footprint exists: for ``k = 1`` whenever the region bound
-        exceeds :data:`SCAN_CELL_LIMIT` (the executor would fall back to
-        the unbounded best-first search, whose reach footprints cannot
+        The monitored alive region (tightening, and the bichromatic B
+        enumeration, read exactly these cells on the scan path) plus a
+        cover of each verification witness ball: ``B(c, dist(c, q))`` per
+        candidate ``c`` (monochromatic verification counts the objects
+        strictly inside it), or per B object ``b`` inside the region
+        (where A objects decide ``b``'s membership *and* where ``b``'s
+        nearest A, the one absorption into ``NN_A`` depends on, must
+        lie).  Returns ``None`` when no valid bounded footprint exists:
+        for a bichromatic query, and for a monochromatic one at
+        ``k = 1``, whenever the region bound exceeds
+        :data:`SCAN_CELL_LIMIT` (the executor would fall back to the
+        unbounded best-first search, whose reach footprints cannot
         cover), or when the cover outgrows ``cap``.
         """
         alive = self.alive
-        if alive.k == 1 and alive.alive_cell_bound() > SCAN_CELL_LIMIT:
+        cat_b = self.cat_b
+        if (alive.k == 1 or cat_b is not None) and (
+            alive.alive_cell_bound() > SCAN_CELL_LIMIT
+        ):
             return None
-        cells = set(alive.alive_cells())
+        region = list(alive.alive_cells())
+        cells = set(region)
         if len(cells) > cap:
             return None
+        if cat_b is None:
+            centers = self.monitored.values()
+        else:
+            centers = (
+                grid.position(ob)
+                for key in region
+                for ob in grid.objects_in_cell(key, cat_b)
+            )
         q = self.qpos
-        for pos in self.candidates.values():
+        for pos in centers:
             if not _add_ball_cells(grid, pos, dist(pos, q), cells, cap):
                 return None
         return cells
@@ -139,46 +165,58 @@ class MonoState:
         guarded pruning policy; the literal policy deliberately leaves
         dominated ex-candidates inside alive cells):
 
-        - *region exhausted* — every *point-alive* object inside an alive
-          cell has been absorbed into ``candidates`` (Phase I termination:
-          the alive region never hides an unexamined object, which is what
-          makes Theorem 2's completeness argument go through).  Cell-level
-          aliveness over-approximates, so a straddling cell may hold
-          point-dead objects the algorithm correctly ignores;
+        - *region exhausted* — every *point-alive* object (A object, for
+          a bichromatic query) inside an alive cell is monitored (Phase I
+          termination: the alive region never hides an unexamined object,
+          which is what makes Theorem 2's completeness argument go
+          through).  Cell-level aliveness over-approximates, so a
+          straddling cell may hold point-dead objects the algorithm
+          correctly ignores;
+        - *answer monitored* (monochromatic) — the answer is a subset of
+          the candidates; *answer typed* (bichromatic) — every reported
+          RNN is an indexed B object;
         - *answer verified* — every reported RNN has fewer than ``k``
-          strictly closer witnesses, re-derived here by exhaustive
+          objects (A objects) other than itself and the query strictly
+          closer than the query position, re-derived here by exhaustive
           comparison (Phase II soundness, independent of the search
           structure that computed it);
-        - *answer monitored* — the answer is a subset of the candidates;
-        - *snapshots fresh* — every candidate's cached position matches
-          the grid (stale snapshots silently disable movement detection).
+        - *snapshots fresh* — every monitored object's cached position
+          matches the grid (stale snapshots silently disable movement
+          detection).
 
         Returns human-readable violation strings; empty means sound.
         """
         out: List[str] = []
-        candidates = self.candidates
-        for key in self.alive.alive_cells():
-            for oid in grid.objects_in_cell(key):
+        monitored = self.monitored
+        cat_a, cat_b = self.cat_a, self.cat_b
+        alive = self.alive
+        for key in alive.alive_cells():
+            for oid in grid.objects_in_cell(key, cat_a):
                 if (
                     oid != query_id
-                    and oid not in candidates
-                    and self.alive.point_alive(grid.position(oid))
+                    and oid not in monitored
+                    and alive.point_alive(grid.position(oid))
                 ):
-                    out.append(
-                        f"alive cell {key} holds unabsorbed object {oid!r}"
-                    )
-        for oid in self.answer:
-            if oid not in candidates:
-                out.append(f"answer object {oid!r} is not monitored")
+                    out.append(f"alive cell {key} holds unabsorbed object {oid!r}")
+        if cat_b is None:
+            for oid in self.answer:
+                if oid not in monitored:
+                    out.append(f"answer object {oid!r} is not monitored")
         q = self.qpos
         for oid in self.answer:
             if oid not in grid:
                 out.append(f"answer object {oid!r} is not in the index")
                 continue
+            if cat_b is not None and grid.category(oid) != cat_b:
+                out.append(
+                    f"answer object {oid!r} has category"
+                    f" {grid.category(oid)!r}, expected {cat_b!r}"
+                )
+                continue
             pos = grid.position(oid)
             dq2 = dist_sq(pos, q)
             witnesses = 0
-            for other in grid.objects():
+            for other in grid.objects(cat_a):
                 if other == oid or other == query_id:
                     continue
                 if dist_sq(grid.position(other), pos) < dq2:
@@ -190,116 +228,9 @@ class MonoState:
                     f"answer object {oid!r} fails verification"
                     f" ({witnesses} strictly closer witnesses, k={k})"
                 )
-        for oid, snapshot in candidates.items():
+        for oid, snapshot in monitored.items():
             if oid not in grid:
-                out.append(f"candidate {oid!r} is no longer indexed")
+                out.append(f"monitored object {oid!r} is no longer indexed")
             elif grid.position(oid) != snapshot:
-                out.append(f"candidate {oid!r} has a stale position snapshot")
-        return out
-
-
-@dataclass
-class BiState:
-    """Monitored state of a bichromatic IGERN query between executions.
-
-    ``nn_a`` is the monitored set of A objects whose movement can change
-    the answer; ``answer`` holds the current reverse nearest neighbors of
-    type B.
-    """
-
-    qpos: Point
-    nn_a: Dict[ObjectId, Point] = field(default_factory=dict)
-    alive: AliveCellGrid = None  # type: ignore[assignment]
-    answer: Set[ObjectId] = field(default_factory=set)
-
-    def footprint_cells(
-        self, grid, cat_b, cap: int = FOOTPRINT_CELL_CAP
-    ) -> Optional[set]:
-        """The cells the next incremental step's outcome can depend on.
-
-        The monitored alive region (both the A-tightening and the B
-        enumeration read exactly these cells on the scan path) plus, per
-        B object currently inside it, a cover of its witness ball
-        ``B(b, dist(b, q))`` — the region where A objects decide ``b``'s
-        membership *and* where ``b``'s nearest A (the one absorption into
-        ``NN_A`` depends on) must lie.  ``None`` when the region bound
-        exceeds :data:`SCAN_CELL_LIMIT` (unbounded fallback path) or the
-        cover outgrows ``cap``.
-        """
-        alive = self.alive
-        if alive.alive_cell_bound() > SCAN_CELL_LIMIT:
-            return None
-        region = list(alive.alive_cells())
-        cells = set(region)
-        if len(cells) > cap:
-            return None
-        q = self.qpos
-        for key in region:
-            for ob in grid.objects_in_cell(key, cat_b):
-                pos = grid.position(ob)
-                if not _add_ball_cells(grid, pos, dist(pos, q), cells, cap):
-                    return None
-        return cells
-
-    def check_invariants(
-        self, grid, cat_a, cat_b, k: int = 1, query_id=None
-    ) -> List[str]:
-        """Structural soundness of the bichromatic monitored state.
-
-        The bichromatic mirror of :meth:`MonoState.check_invariants`:
-
-        - *region exhausted* — every *point-alive* A object inside an
-          alive cell is monitored in ``NN_A`` (Phase I termination for
-          Algorithm 3/4; straddling cells may hold point-dead A objects);
-        - *answer typed* — every reported RNN is an indexed B object;
-        - *answer verified* — every reported B object has fewer than
-          ``k`` A objects (other than the query) strictly closer to it
-          than the query position, by exhaustive comparison;
-        - *snapshots fresh* — monitored A positions match the grid.
-        """
-        out: List[str] = []
-        nn_a = self.nn_a
-        for key in self.alive.alive_cells():
-            for oid in grid.objects_in_cell(key, cat_a):
-                if (
-                    oid != query_id
-                    and oid not in nn_a
-                    and self.alive.point_alive(grid.position(oid))
-                ):
-                    out.append(
-                        f"alive cell {key} holds unabsorbed A object {oid!r}"
-                    )
-        q = self.qpos
-        for ob in self.answer:
-            if ob not in grid:
-                out.append(f"answer object {ob!r} is not in the index")
-                continue
-            if grid.category(ob) != cat_b:
-                out.append(
-                    f"answer object {ob!r} has category"
-                    f" {grid.category(ob)!r}, expected {cat_b!r}"
-                )
-                continue
-            pos = grid.position(ob)
-            dq2 = dist_sq(pos, q)
-            witnesses = 0
-            for oa in grid.objects(cat_a):
-                if oa == query_id:
-                    continue
-                if dist_sq(grid.position(oa), pos) < dq2:
-                    witnesses += 1
-                    if witnesses >= k:
-                        break
-            if witnesses >= k:
-                out.append(
-                    f"answer object {ob!r} fails verification"
-                    f" ({witnesses} strictly closer A witnesses, k={k})"
-                )
-        for oid, snapshot in nn_a.items():
-            if oid not in grid:
-                out.append(f"monitored A object {oid!r} is no longer indexed")
-            elif grid.position(oid) != snapshot:
-                out.append(
-                    f"monitored A object {oid!r} has a stale position snapshot"
-                )
+                out.append(f"monitored object {oid!r} has a stale position snapshot")
         return out

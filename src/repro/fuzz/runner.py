@@ -49,14 +49,15 @@ After every tick it checks, one loop over the table per check:
    position, and the query point lies inside the safe region, the
    issue-time answer must equal the brute oracle's;
 5. **invariants** — on the rows that ask for them, every IGERN
-   monitored state passes
-   :meth:`~repro.core.state.MonoState.check_invariants` /
-   :meth:`~repro.core.state.BiState.check_invariants` (in particular
-   after skipped ticks), and the registered footprints cover the alive
-   region and the monitored and answer objects.  The oracle side
-   registers no footprints; the lease side skips footprint-touching
-   ticks while a lease holds, so its state and footprints may lag by
-   design and only its answers are held to the oracle.
+   monitored state passes its own ``check_invariants``
+   (:meth:`~repro.core.state.RegionState.check_invariants`, or
+   :meth:`~repro.core.network.NetworkState.check_invariants` under a
+   network metric; in particular after skipped ticks), and the
+   registered footprints cover the alive region and the monitored and
+   answer objects.  The oracle side registers no footprints; the lease
+   side skips footprint-touching ticks while a lease holds, so its
+   state and footprints may lag by design and only its answers are
+   held to the oracle.
 
 Any violation becomes a :class:`Divergence`; the scenario (already in
 scripted form) plus its divergences is the replayable failure artifact.
@@ -598,22 +599,14 @@ class _Lockstep:
 
     def _monitored(self, sim: Simulator, name: str) -> set:
         state = sim.query(name)._state
-        if state is None:
-            return set()
-        if self.scenario.mode == "mono":
-            return set(state.candidates)
-        return set(state.nn_a)
+        return set(state.monitored) if state is not None else set()
 
     def _state_violations(self, sim: Simulator, name: str = "igern") -> List[str]:
-        query = sim.query(name)
-        state = query._state
+        state = sim.query(name)._state
         if state is None:
             return []
-        qid = self._query_id(name)
-        if self.scenario.mode == "mono":
-            return state.check_invariants(sim.grid, k=self.scenario.k, query_id=qid)
         return state.check_invariants(
-            sim.grid, CAT_A, CAT_B, k=self.scenario.k, query_id=qid
+            sim.grid, k=self.scenario.k, query_id=self._query_id(name)
         )
 
     def _footprint_violations(self, sim: Simulator, name: str = "igern") -> List[str]:
@@ -625,18 +618,14 @@ class _Lockstep:
         fp = sim.scheduler.footprint(name)
         if fp is None:
             return []
-        query = sim.query(name)
-        state = query._state
+        state = sim.query(name)._state
         if state is None:
             return []
         out: List[str] = []
         missing = set(state.alive.alive_cells()) - set(fp.cells)
         if missing:
             out.append(f"footprint misses alive cells {sorted(missing)[:4]}")
-        monitored = (
-            state.candidates if self.scenario.mode == "mono" else state.nn_a
-        )
-        for oid in monitored:
+        for oid in state.monitored:
             if oid not in fp.objects:
                 out.append(f"footprint misses monitored object {oid!r}")
         qid = self._query_id(name)

@@ -271,7 +271,7 @@ def derive_mono_lease(state, grid, k: int, query_id) -> Optional[Lease]:
     positions = grid.positions_snapshot()
     q = state.qpos
     qx, qy = q.x, q.y
-    candidates = state.candidates
+    candidates = state.monitored
     answer = state.answer
     extent = grid.extent
     guard = SLACK_GUARD_REL * math.hypot(extent.width, extent.height)
@@ -361,7 +361,7 @@ def derive_bi_lease(
 
     nn_list = [
         (aid, (pos.x, pos.y))
-        for aid, pos in state.nn_a.items()
+        for aid, pos in state.monitored.items()
         if aid != query_id
     ]
     min_slack = math.inf

@@ -6,7 +6,9 @@ interface so the simulation engine can drive them interchangeably:
 - :class:`repro.queries.igern_mono.IGERNMonoQuery` — the paper's
   monochromatic algorithm (Algorithms 1-2);
 - :class:`repro.queries.igern_bi.IGERNBiQuery` — the bichromatic algorithm
-  (Algorithms 3-4);
+  (Algorithms 3-4); both are :class:`repro.queries.igern.IGERNQuery`
+  adapters and differ only in the core they build and the lease they
+  derive;
 - :class:`repro.queries.crnn.CRNNQuery` — the six-pie continuous monitor
   (Xia & Zhang, ICDE 2006), the monochromatic state of the art the paper
   compares against;

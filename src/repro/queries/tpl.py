@@ -34,7 +34,7 @@ class TPLQuery(ContinuousQuery):
             grid,
             query_id=position.query_id,
             k=k,
-            prune=False,
+            prune="off",
             search=self.search,
         )
 

@@ -85,7 +85,7 @@ class VoronoiRepeatQuery(ContinuousQuery):
         if self.method == "pruned":
             with phase(self.cost, "voronoi.pruned"):
                 state, report = self._algo.initial(self.position.current())
-            self.last_neighbors = len(state.nn_a)
+            self.last_neighbors = len(state.monitored)
             self._answer = report.answer
             return self._answer
         with phase(self.cost, "voronoi.rebuild"):

@@ -30,7 +30,6 @@ from repro.serving.router import (
     shard_of_cell,
     shard_of_name,
     shard_of_point,
-    straddled_shards,
 )
 from repro.serving.shard import (
     PushFeed,
@@ -63,6 +62,5 @@ __all__ = [
     "shard_of_point",
     "stats_delta",
     "stats_snapshot",
-    "straddled_shards",
     "worker_main",
 ]

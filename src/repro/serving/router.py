@@ -71,40 +71,16 @@ def route_query(
     n_shards: int,
     name: Hashable,
     point: Optional[Tuple[float, float]] = None,
-    footprint_cells: Optional[Iterable[CellKey]] = None,
 ) -> int:
     """Pick the owning shard for a query.
 
     Preference order:
 
-    1. **Footprint majority** — when the caller knows the query's cell
-       footprint, the stripe owning the most footprint cells wins (ties
-       go to the lowest shard id), so boundary-straddling queries land
-       where most of their reads are attributed.
-    2. **Query-point cell** — fixed-position queries (including
+    1. **Query-point cell** — fixed-position queries (including
        footprint-less network-metric queries, which are *pinned* to this
        shard and answered from its replicated object state).
-    3. **Stable name fold** — moving queries known only by object id.
+    2. **Stable name fold** — moving queries known only by object id.
     """
-    if footprint_cells is not None:
-        counts = [0] * n_shards
-        seen = False
-        for cell in footprint_cells:
-            counts[shard_of_cell(cell, grid_size, n_shards)] += 1
-            seen = True
-        if seen:
-            return max(range(n_shards), key=lambda s: (counts[s], -s))
     if point is not None:
         return shard_of_point(point, grid_size, extent, n_shards)
     return shard_of_name(name, n_shards)
-
-
-def straddled_shards(
-    footprint_cells: Iterable[CellKey], grid_size: int, n_shards: int
-) -> Tuple[int, ...]:
-    """All stripes a footprint touches, sorted — more than one element
-    means the query straddles a shard boundary and is eligible for the
-    gateway's fan-out agreement check."""
-    return tuple(
-        sorted({shard_of_cell(c, grid_size, n_shards) for c in footprint_cells})
-    )

@@ -111,19 +111,13 @@ def render_grid(
 
 
 def render_query_state(algo_state, grid: GridIndex, max_side: int = _MAX_SIDE) -> str:
-    """Render the monitored state of a Mono/Bi IGERN query.
-
-    Accepts a :class:`repro.core.state.MonoState` or ``BiState`` (duck
-    typed on ``qpos``, ``alive`` and the monitored-set attribute).
-    """
-    monitored = getattr(algo_state, "candidates", None)
-    if monitored is None:
-        monitored = getattr(algo_state, "nn_a", {})
+    """Render the monitored state of an IGERN query: a
+    :class:`repro.core.state.RegionState` of either flavour."""
     return render_region(
         algo_state.alive,
         grid=grid,
         qpos=algo_state.qpos,
-        candidates=monitored,
+        candidates=algo_state.monitored,
         max_side=max_side,
     )
 

@@ -55,7 +55,7 @@ class TestInitialStep:
         algo = BiIGERN(grid)
         state, report = algo.initial((0.5, 0.5))
         assert report.answer == frozenset({"near-b"})
-        assert "rival" in state.nn_a
+        assert "rival" in state.monitored
 
     def test_matches_brute_force_many_queries(self, bi_grid):
         a_ids = sorted(bi_grid.objects("A"))
@@ -68,7 +68,7 @@ class TestInitialStep:
     def test_monitored_set_contains_only_a(self, bi_grid):
         algo = BiIGERN(bi_grid)
         state, _ = algo.initial((0.5, 0.5))
-        for oid in state.nn_a:
+        for oid in state.monitored:
             assert bi_grid.category(oid) == "A"
 
     def test_b_object_coincident_with_query(self):
@@ -126,10 +126,10 @@ class TestIncrementalStep:
         qpos = bi_grid.position(qid)
         algo = BiIGERN(bi_grid, query_id=qid)
         state, _ = algo.initial(qpos)
-        victim = next(iter(state.nn_a))
+        victim = next(iter(state.monitored))
         bi_grid.remove(victim)
         report = algo.incremental(state, qpos)
-        assert victim not in state.nn_a
+        assert victim not in state.monitored
         check_against_brute(bi_grid, state, qpos, query_id=qid)
 
     def test_long_random_walk_stays_correct(self):

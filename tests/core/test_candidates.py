@@ -56,9 +56,10 @@ class TestNormalizePruneMode:
         for mode in PRUNE_MODES:
             assert normalize_prune_mode(mode) == mode
 
-    def test_bool_aliases(self):
-        assert normalize_prune_mode(True) == "guarded"
-        assert normalize_prune_mode(False) == "off"
+    def test_booleans_rejected(self):
+        for mode in (True, False):
+            with pytest.raises(ValueError):
+                normalize_prune_mode(mode)
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError):

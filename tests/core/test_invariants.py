@@ -51,7 +51,7 @@ class TestMonoInvariants:
     def test_candidate_snapshots_match_grid(self):
         """After each step the stored candidate positions are current."""
         for grid, state, report in self.run_tracked(3):
-            for oid, snapshot in state.candidates.items():
+            for oid, snapshot in state.monitored.items():
                 assert grid.position(oid) == snapshot
 
     def test_region_halfplanes_match_candidates(self):
@@ -61,7 +61,7 @@ class TestMonoInvariants:
         for grid, state, report in self.run_tracked(4):
             expected = {
                 bisector_halfplane(state.qpos, pos)
-                for pos in state.candidates.values()
+                for pos in state.monitored.values()
                 if pos != state.qpos
             }
             assert set(state.alive.halfplanes) == expected
@@ -107,5 +107,5 @@ class TestBiInvariants:
 
     def test_snapshots_current(self):
         for grid, state, report in self.run_tracked(9):
-            for oid, snapshot in state.nn_a.items():
+            for oid, snapshot in state.monitored.items():
                 assert grid.position(oid) == snapshot

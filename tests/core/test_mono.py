@@ -51,7 +51,7 @@ class TestInitialStep:
         algo = MonoIGERN(small_grid, query_id=qid)
         state, report = algo.initial(qpos)
         assert qid not in report.answer
-        assert qid not in state.candidates
+        assert qid not in state.monitored
         check_against_brute(small_grid, algo, state, qpos, query_id=qid)
 
     def test_matches_brute_force_many_queries(self, small_grid):
@@ -64,7 +64,7 @@ class TestInitialStep:
     def test_candidates_cover_answer(self, small_grid):
         algo = MonoIGERN(small_grid)
         state, report = algo.initial((0.4, 0.6))
-        assert report.answer <= frozenset(state.candidates)
+        assert report.answer <= frozenset(state.monitored)
 
     def test_region_contains_no_free_objects(self, small_grid):
         """After Phase I, every alive-cell object is a candidate."""
@@ -72,7 +72,7 @@ class TestInitialStep:
         state, _ = algo.initial((0.4, 0.6))
         for oid in small_grid.objects():
             key = small_grid.cell_of(oid)
-            if state.alive.is_alive(key) and oid not in state.candidates:
+            if state.alive.is_alive(key) and oid not in state.monitored:
                 # Objects in straddling cells outside the exact region are
                 # tolerated — they must be point-dead.
                 assert not state.alive.point_alive(small_grid.position(oid))
@@ -113,7 +113,7 @@ class TestIncrementalStep:
         algo = MonoIGERN(small_grid, query_id=0)
         qpos = small_grid.position(0)
         state, _ = algo.initial(qpos)
-        victim = next(iter(state.candidates))
+        victim = next(iter(state.monitored))
         small_grid.move(victim, (0.95, 0.95))
         report = algo.incremental(state, qpos)
         assert report.movement_rebuild
@@ -126,7 +126,7 @@ class TestIncrementalStep:
         # Drop a brand-new object right next to the query.
         small_grid.insert(999, (qpos.x + 1e-4, qpos.y))
         report = algo.incremental(state, qpos)
-        assert 999 in state.candidates
+        assert 999 in state.monitored
         assert 999 in report.answer
         check_against_brute(small_grid, algo, state, qpos, query_id=0)
 
@@ -134,10 +134,10 @@ class TestIncrementalStep:
         algo = MonoIGERN(small_grid, query_id=0)
         qpos = small_grid.position(0)
         state, _ = algo.initial(qpos)
-        victim = next(iter(state.candidates))
+        victim = next(iter(state.monitored))
         small_grid.remove(victim)
         report = algo.incremental(state, qpos)
-        assert victim not in state.candidates
+        assert victim not in state.monitored
         assert victim not in report.answer
         check_against_brute(small_grid, algo, state, qpos, query_id=0)
 

@@ -76,10 +76,14 @@ class TestFig8:
 
 class TestFig9:
     def test_accumulated_igern_wins(self):
-        res = figures.fig9(scale=SCALE)
-        acc_i = res["fig9b"].series_by_name("IGERN").y
-        acc_v = res["fig9b"].series_by_name("Voronoi").y
-        assert acc_i[-1] < acc_v[-1]
+        # Wall-clock totals of ~0.03 s each: one collector pause or host
+        # slowdown inside a single run can flip the order, so compare
+        # each algorithm's best accumulated time over three runs (the
+        # timeit convention: the minimum is the least disturbed reading).
+        runs = [figures.fig9(scale=SCALE)["fig9b"] for _ in range(3)]
+        best_i = min(r.series_by_name("IGERN").y[-1] for r in runs)
+        best_v = min(r.series_by_name("Voronoi").y[-1] for r in runs)
+        assert best_i < best_v
 
 
 class TestCostModelCheck:

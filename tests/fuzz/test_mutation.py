@@ -14,8 +14,10 @@ Two mutants, one per harness layer:
   (what a refactor deriving the exclusions from a truncated key would
   produce): probes collide across batched queries *and* stop excluding
   the candidate itself, which then counts as its own witness.  Only the
-  batch participant of the four-way lockstep is corrupted, so the
-  ``batch`` divergence kind must fire.  (A key-only drop is provably
+  simulators that batch (share a tick context) are corrupted — the
+  ``batch``, ``store`` and ``lease`` rows of the lockstep table,
+  ``PARTICIPANTS`` in ``repro/fuzz/runner.py`` — so the ``batch``
+  divergence kind must fire.  (A key-only drop is provably
   masked today — see the soundness notes in ``repro/grid/context.py``.)
 
 Each test plants its mutant and asserts the whole pipeline reacts: a

@@ -120,7 +120,7 @@ def _empty_footprint(sim, out):
 
 
 def _extra_candidate(sim, out):
-    sim.query("igern")._state.candidates[_PLANTED] = Point(0.0, 0.0)
+    sim.query("igern")._state.monitored[_PLANTED] = Point(0.0, 0.0)
 
 
 def _small_scenario():

@@ -7,7 +7,6 @@ from repro.serving.router import (
     shard_of_cell,
     shard_of_name,
     shard_of_point,
-    straddled_shards,
 )
 
 EXTENT = Rect.unit()
@@ -51,17 +50,7 @@ def test_point_routing_matches_cell_routing():
 
 
 def test_route_prefers_footprint_majority_then_point():
-    # Footprint mostly in the last stripe wins over the query point's.
-    owner = route_query(
-        grid_size=16,
-        extent=EXTENT,
-        n_shards=4,
-        name="q",
-        point=(0.01, 0.5),
-        footprint_cells=[(15, 0), (14, 1), (13, 2), (0, 0)],
-    )
-    assert owner == 3
-    # No footprint: the query point decides.
+    # The query point decides.
     assert (
         route_query(grid_size=16, extent=EXTENT, n_shards=4, name="q", point=(0.01, 0.5))
         == 0
@@ -70,24 +59,6 @@ def test_route_prefers_footprint_majority_then_point():
     fallback = route_query(grid_size=16, extent=EXTENT, n_shards=4, name="q")
     assert fallback == shard_of_name("q", 4)
     assert 0 <= fallback < 4
-
-
-def test_footprint_majority_ties_go_to_lowest_shard():
-    owner = route_query(
-        grid_size=16,
-        extent=EXTENT,
-        n_shards=4,
-        name="q",
-        footprint_cells=[(1, 0), (15, 0)],  # one cell each in stripes 0 and 3
-    )
-    assert owner == 0
-
-
-def test_straddled_shards_detects_boundary_footprints():
-    inside = [(1, 0), (2, 1)]
-    across = [(1, 0), (15, 0)]
-    assert straddled_shards(inside, 16, 4) == (0,)
-    assert straddled_shards(across, 16, 4) == (0, 3)
 
 
 def test_shard_of_name_is_stable_and_bounded():

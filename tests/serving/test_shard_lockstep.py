@@ -20,7 +20,7 @@ from repro.motion.roadnet import RoadNetwork
 from repro.queries import QueryPosition
 from repro.queries.base import ContinuousQuery
 from repro.serving import QuerySpec, ShardCluster, ShardFault, build_query
-from repro.serving.router import straddled_shards
+from repro.serving.router import shard_of_cell
 from repro.serving.shard import PushFeed, decode_events
 
 GRID_SIZE = 16
@@ -144,7 +144,7 @@ def test_boundary_straddling_footprints_fanout_agree():
         for spec in specs:
             fp = shard0.scheduler.footprint(spec.name)
             if fp is not None and len(
-                straddled_shards(fp.cells, GRID_SIZE, N_SHARDS)
+                {shard_of_cell(c, GRID_SIZE, N_SHARDS) for c in fp.cells}
             ) > 1:
                 straddlers += 1
         assert straddlers > 0, "no footprint straddled a stripe boundary"

@@ -29,7 +29,7 @@ class TestWalkthrough:
             grid.insert(oid, pos)
         algo = MonoIGERN(grid)
         state, report = algo.initial(QUERY)
-        assert sorted(state.candidates) == [1, 2, 3]
+        assert sorted(state.monitored) == [1, 2, 3]
         assert sorted(report.answer) == [1, 2, 3]
 
     def test_incremental_matches_document(self):
@@ -41,9 +41,9 @@ class TestWalkthrough:
         grid.move(3, (0.30, 0.05))
         grid.move(7, (0.40, 0.44))
         report = algo.incremental(state, QUERY)
-        assert sorted(state.candidates) == [1, 2, 7]
+        assert sorted(state.monitored) == [1, 2, 7]
         assert sorted(report.answer) == [1, 2, 7]
-        assert 3 not in state.candidates  # dominated + redundant: pruned
+        assert 3 not in state.monitored  # dominated + redundant: pruned
 
     def test_walkthrough_script_runs(self, capsys):
         import importlib.util
