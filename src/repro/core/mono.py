@@ -19,7 +19,10 @@ candidates themselves:
     Runs every tick.  If ``q`` or any candidate moved, all bisectors are
     redrawn and the alive mask rebuilt.  Any object now inside an alive
     cell triggers the same tightening loop as Phase I.  The candidate set
-    is then cleaned of dominated members and the answer re-verified.
+    is then cleaned of dominated members and the answer re-verified:
+    a non-answer candidate whose witness certificate still holds (its
+    ``k`` witnesses are still strictly closer than ``q``) is not
+    re-probed (``docs/ALGORITHM.md``, "Witness certificates").
 
 The region maintenance is :class:`repro.core.region.RegionCore`, shared
 with the bichromatic algorithm; ``RNNcand`` is the state's ``monitored``
@@ -31,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Set
 
 from repro.core.region import RegionCore
-from repro.core.state import RegionState, StepReport
+from repro.core.state import Certificate, RegionState, StepReport, certificate_holds
 from repro.geometry.point import dist_sq
 from repro.grid.index import ObjectId
 from repro.grid.search import SearchKind
@@ -99,43 +102,65 @@ class MonoIGERN(RegionCore):
         )
 
     def _verify(self, state: RegionState) -> Set[ObjectId]:
-        """Phase II: keep candidates for which q passes the (k-)NN test."""
+        """Phase II: keep candidates for which q passes the (k-)NN test.
+
+        A candidate the probe disqualifies gets a :class:`Certificate`
+        naming the ``k`` witnesses it found.  The next verification keeps
+        a candidate out of the answer without a probe while that
+        certificate holds; new, moved and answer candidates, and every
+        candidate once the query moved, are probed.
+        """
         q = state.qpos
+        k = self.k
         answer: Set[ObjectId] = set()
         exclude_base = {self.query_id} if self.query_id is not None else set()
         ctx = self.shared_context
+        search = self.search
+        positions = self.grid._positions
+        previous = state.certificates
+        certificates = {}
+        certified = 0
         for oid, pos in state.monitored.items():
+            cert = previous.get(oid)
+            if cert is not None and certificate_holds(positions, cert, pos, q):
+                certificates[oid] = cert
+                certified += 1
+                continue
             # Squared-space comparison: an exactly equidistant witness must
             # not disqualify the candidate (the paper's strict inequality).
             dq2 = dist_sq(pos, q)
             if ctx is not None:
                 # Tick-shared probe: same min(k, count) semantics as the
                 # cold call below, with witnesses banked for other queries
-                # verifying the same candidate this tick.
-                witnesses = ctx.witness_count(
-                    self.search,
-                    oid,
+                # verifying the same candidate this tick; the certificate
+                # is read back from the memo entry the probe filled.
+                signature = frozenset(exclude_base | {oid})
+                count = ctx.witness_count(
+                    search, oid, pos, dq2, signature, None, k, threshold_ref=q
+                )
+                if count < k:
+                    answer.add(oid)
+                    continue
+                witnesses = ctx.witness_certificate(oid, pos, signature, None, k, q)
+            else:
+                # stop_at keeps the probe in the columnar kernel's
+                # row-by-row early-exit regime (most verifications settle
+                # within a few rows); without it the kernel would scan
+                # whole cell slices.
+                rows = search.witnesses_closer_than(
                     pos,
                     dq2,
-                    frozenset(exclude_base | {oid}),
-                    None,
-                    self.k,
-                    threshold_ref=q,
+                    exclude=exclude_base | {oid},
+                    stop_at=k,
+                    kind=SearchKind.UNCONSTRAINED,
+                    threshold_point=q,
                 )
-                if witnesses < self.k:
+                if len(rows) < k:
                     answer.add(oid)
-                continue
-            # stop_at keeps the probe in the columnar kernel's row-by-row
-            # early-exit regime (most verifications settle within a few
-            # rows); without it the kernel would scan whole cell slices.
-            witnesses = self.search.count_closer_than(
-                pos,
-                threshold_sq=dq2,
-                exclude=exclude_base | {oid},
-                stop_at=self.k,
-                kind=SearchKind.UNCONSTRAINED,
-                threshold_point=q,
-            )
-            if witnesses < self.k:
-                answer.add(oid)
+                    continue
+                witnesses = tuple(wid for wid, _ in rows)
+            if witnesses is not None:
+                certificates[oid] = Certificate(pos, q, witnesses)
+        state.certificates = certificates
+        search.stats.certified += certified
         return answer

@@ -10,13 +10,17 @@ The whole point of IGERN is that an incremental execution needs only
 
 rather than the whole space.  Both flavours keep them in one
 :class:`RegionState`, threaded through consecutive incremental steps.
+A monochromatic state also keeps one :class:`Certificate` per non-answer
+candidate: the witnesses that disqualified it, so the next step re-probes
+only the candidates whose certificate broke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
+from repro.geometry import predicates
 from repro.geometry.point import Point, dist, dist_sq
 from repro.grid.alive import AliveCellGrid
 from repro.grid.index import Category, ObjectId
@@ -50,6 +54,38 @@ def _add_ball_cells(grid, center: Point, radius: float, out: set, cap: int) -> b
         for iy in range(lo[1], hi[1] + 1):
             out.add((ix, iy))
     return len(out) <= cap
+
+
+class Certificate(NamedTuple):
+    """Why a monochromatic candidate is not an answer.
+
+    ``witnesses`` are the ``k`` objects its last verification probe found
+    strictly closer to it than the query, with ``candidate`` and ``query``
+    the positions that probe saw.  While :func:`certificate_holds`, the
+    candidate has at least ``k`` strict witnesses and needs no probe.
+    """
+
+    candidate: Point
+    query: Point
+    witnesses: Tuple[ObjectId, ...]
+
+
+def certificate_holds(positions, cert: Certificate, cpos: Point, q: Point) -> bool:
+    """Whether ``cert`` still proves its candidate is no answer.
+
+    It does while the candidate and the query sit where the certificate
+    was issued and every witness is still indexed and still *strictly*
+    closer to the candidate than the query (the exact predicate: a
+    witness that moved onto the candidate's threshold circle no longer
+    counts).  ``positions`` is the grid's id -> position mapping.
+    """
+    if cert.candidate != cpos or cert.query != q:
+        return False
+    for wid in cert.witnesses:
+        wpos = positions.get(wid)
+        if wpos is None or not predicates.closer_than(cpos, wpos, q):
+            return False
+    return True
 
 
 @dataclass
@@ -108,6 +144,8 @@ class RegionState:
     movement detection compares against.  ``cat_a`` / ``cat_b`` are
     ``None`` for a monochromatic query; for a bichromatic one the
     monitored objects are of ``cat_a`` and the answers of ``cat_b``.
+    ``certificates`` (monochromatic only) maps each non-answer candidate
+    to the :class:`Certificate` its last verification issued.
     """
 
     qpos: Point
@@ -116,6 +154,13 @@ class RegionState:
     cat_b: Optional[Category] = None
     monitored: Dict[ObjectId, Point] = field(default_factory=dict)
     answer: Set[ObjectId] = field(default_factory=set)
+    certificates: Dict[ObjectId, Certificate] = field(default_factory=dict)
+
+    def certificate_witnesses(self) -> Set[ObjectId]:
+        """Every witness some candidate's certificate relies on."""
+        return {
+            wid for cert in self.certificates.values() for wid in cert.witnesses
+        }
 
     def footprint_cells(self, grid, cap: int = FOOTPRINT_CELL_CAP) -> Optional[set]:
         """The cells the next incremental step's outcome can depend on.
@@ -123,11 +168,15 @@ class RegionState:
         The monitored alive region (tightening, and the bichromatic B
         enumeration, read exactly these cells on the scan path) plus a
         cover of each verification witness ball: ``B(c, dist(c, q))`` per
-        candidate ``c`` (monochromatic verification counts the objects
-        strictly inside it), or per B object ``b`` inside the region
-        (where A objects decide ``b``'s membership *and* where ``b``'s
-        nearest A, the one absorption into ``NN_A`` depends on, must
-        lie).  Returns ``None`` when no valid bounded footprint exists:
+        monochromatic candidate ``c`` without a certificate, i.e. per
+        answer (its probe counts the objects strictly inside the ball),
+        or per B object ``b`` inside the region (where A objects decide
+        ``b``'s membership *and* where ``b``'s nearest A, the one
+        absorption into ``NN_A`` depends on, must lie).  A certified
+        candidate needs no ball: only its own, the query's or a
+        witness's movement can break the certificate, and those are
+        footprint objects (``IGERNQuery.footprint``).  Returns ``None``
+        when no valid bounded footprint exists:
         for a bichromatic query, and for a monochromatic one at
         ``k = 1``, whenever the region bound exceeds
         :data:`SCAN_CELL_LIMIT` (the executor would fall back to the
@@ -145,7 +194,10 @@ class RegionState:
         if len(cells) > cap:
             return None
         if cat_b is None:
-            centers = self.monitored.values()
+            certified = self.certificates
+            centers = (
+                pos for oid, pos in self.monitored.items() if oid not in certified
+            )
         else:
             centers = (
                 grid.position(ob)
@@ -182,7 +234,13 @@ class RegionState:
           structure that computed it);
         - *snapshots fresh* — every monitored object's cached position
           matches the grid (stale snapshots silently disable movement
-          detection).
+          detection);
+        - *certificates sound* (monochromatic) — only non-answer
+          candidates hold one, and each lists ``k`` distinct indexed
+          objects, none of them the candidate or the query object, each
+          strictly closer to the candidate than the query (the exact
+          predicate), issued at the current candidate and query
+          positions.
 
         Returns human-readable violation strings; empty means sound.
         """
@@ -233,4 +291,28 @@ class RegionState:
                 out.append(f"monitored object {oid!r} is no longer indexed")
             elif grid.position(oid) != snapshot:
                 out.append(f"monitored object {oid!r} has a stale position snapshot")
+        for oid, cert in self.certificates.items():
+            out.extend(self._certificate_violations(grid, k, query_id, oid, cert))
+        return out
+
+    def _certificate_violations(self, grid, k, query_id, oid, cert) -> List[str]:
+        site = f"certificate of {oid!r}"
+        if oid not in self.monitored:
+            return [f"{site} outlived its candidate"]
+        if oid in self.answer:
+            return [f"{site} is held by an answer"]
+        pos, q = self.monitored[oid], self.qpos
+        if cert.candidate != pos or cert.query != q:
+            return [f"{site} was issued at other candidate or query positions"]
+        witnesses = cert.witnesses
+        if len(witnesses) != k or len(set(witnesses)) != k:
+            return [f"{site} lists {witnesses!r}, not {k} distinct witnesses"]
+        out: List[str] = []
+        for wid in witnesses:
+            if wid == oid or (query_id is not None and wid == query_id):
+                out.append(f"{site} lists the candidate or the query object")
+            elif wid not in grid:
+                out.append(f"{site} lists {wid!r}, which is no longer indexed")
+            elif not predicates.closer_than(pos, grid.position(wid), q):
+                out.append(f"{site} lists {wid!r}, which is not strictly closer")
         return out

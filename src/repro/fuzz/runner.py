@@ -53,8 +53,9 @@ After every tick it checks, one loop over the table per check:
    (:meth:`~repro.core.state.RegionState.check_invariants`, or
    :meth:`~repro.core.network.NetworkState.check_invariants` under a
    network metric; in particular after skipped ticks), and the
-   registered footprints cover the alive region and the monitored and
-   answer objects.  The oracle side registers no footprints; the lease
+   registered footprints cover the alive region, the monitored objects
+   and certificate witnesses, and every answer's witness ball.  The
+   oracle side registers no footprints; the lease
    side skips footprint-touching ticks while a lease holds, so its
    state and footprints may lag by design and only its answers are
    held to the oracle.
@@ -84,6 +85,7 @@ from repro.fuzz.scenario import (
     scenario_network,
     scripted,
 )
+from repro.geometry.point import dist
 from repro.geometry.rectangle import Rect
 from repro.obs.metrics import active_registry
 from repro.queries import (
@@ -226,6 +228,10 @@ class ScenarioResult:
     #: (``issued`` / ``held`` / ``broken``) — feeds the fuzz report's
     #: ``leases`` coverage dimension.
     lease_stats: Dict[str, int] = field(default_factory=dict)
+    #: Verifications a witness certificate settled without a probe,
+    #: summed over every side's IGERN queries — feeds the fuzz report's
+    #: ``certificates`` coverage dimension.
+    certified: int = 0
 
     @property
     def ok(self) -> bool:
@@ -371,6 +377,11 @@ class _Lockstep:
                 "held": leased.leases_held,
                 "broken": leased.leases_broken,
             },
+            certified=sum(
+                sim.query(name).search.stats.certified
+                for sim in self.sims.values()
+                for name in self.igern_names
+            ),
         )
 
     def _oracle(self, qpos, query_id) -> set:
@@ -612,7 +623,9 @@ class _Lockstep:
     def _footprint_violations(self, sim: Simulator, name: str = "igern") -> List[str]:
         """The registered footprint must cover everything the scheduler
         relies on: the alive region (at cell granularity), the monitored
-        object set, the query object, and every answer object's cell."""
+        object set, the query object, every certificate witness, and the
+        cells of every answer's witness ball ``B(a, dist(a, q))``
+        (recomputed here from the ball's bounding box)."""
         if sim.scheduler is None:
             return []
         fp = sim.scheduler.footprint(name)
@@ -631,10 +644,29 @@ class _Lockstep:
         qid = self._query_id(name)
         if qid is not None and qid not in fp.objects:
             out.append(f"footprint misses query object {qid!r}")
+        for wid in sorted(state.certificate_witnesses(), key=repr):
+            if wid not in fp.objects:
+                out.append(f"footprint misses certificate witness {wid!r}")
         grid = sim.grid
+        q = state.qpos
         for oid in state.answer:
-            if oid in grid and grid.cell_of(oid) not in fp.cells:
-                out.append(f"footprint misses answer object {oid!r}'s cell")
+            if oid not in grid:
+                continue
+            pos = grid.position(oid)
+            r = dist(pos, q)
+            lo = grid.cell_key((pos.x - r, pos.y - r))
+            hi = grid.cell_key((pos.x + r, pos.y + r))
+            ball = {
+                (ix, iy)
+                for ix in range(lo[0], hi[0] + 1)
+                for iy in range(lo[1], hi[1] + 1)
+            }
+            missing = ball - fp.cells
+            if missing:
+                out.append(
+                    f"footprint misses answer object {oid!r}'s ball cells"
+                    f" {sorted(missing)[:4]}"
+                )
         return out
 
 
@@ -719,6 +751,7 @@ class FuzzReport:
         else:
             lease_bucket = "none"
         self._cover("leases", lease_bucket)
+        self._cover("certificates", "used" if result.certified else "none")
         if not result.ok:
             self.failures.append(result)
 
@@ -736,6 +769,7 @@ class FuzzReport:
             "baseline",
             "extra_queries",
             "leases",
+            "certificates",
         ):
             bucket = self.coverage.get(dimension, {})
             parts = ", ".join(f"{k}={v}" for k, v in sorted(bucket.items()))

@@ -30,7 +30,8 @@ be cheap to mutate.  Rather than materializing an ``N x N`` coverage array
 
 For the RkNN extension a cell dies once covered by at least ``k``
 half-planes; the point-level region is then no longer convex, so
-enumeration and redundancy checks fall back to a dense numpy pass.
+enumeration, the region bound and redundancy checks read a dense numpy
+coverage pass, computed once per mutation.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class AliveCellGrid:
         self._memo: Dict[CellKey, bool] = {}
         self._prefilled = False
         self._polygon: Optional[ConvexPolygon] = None
+        #: Per-cell coverage counts (k > 1), cached until the next mutation.
+        self._coverage: Optional[np.ndarray] = None
         self._xmin = self.extent.xmin
         self._ymin = self.extent.ymin
         self._cw = self.extent.width / size
@@ -131,6 +134,7 @@ class AliveCellGrid:
         self._memo.clear()
         self._polygon = None
         self._prefilled = False
+        self._coverage = None
 
     def reset(self) -> None:
         """Mark every cell alive and forget all half-planes."""
@@ -172,6 +176,7 @@ class AliveCellGrid:
         if region_unchanged:
             self._memo.clear()
             self._prefilled = False
+            self._coverage = None
         else:
             self._invalidate()
 
@@ -377,24 +382,30 @@ class AliveCellGrid:
                     if self.is_alive((ix, iy)):
                         yield (ix, iy)
         else:
-            coverage = self._dense_coverage()
-            ixs, iys = np.nonzero(coverage < self.k)
+            ixs, iys = np.nonzero(self._dense_coverage() < self.k)
             for ix, iy in zip(ixs.tolist(), iys.tolist()):
                 yield (ix, iy)
 
     def alive_count(self) -> int:
         """Number of cells that can contain a surviving point."""
-        return sum(1 for _ in self.alive_cells())
+        if self.k == 1:
+            return sum(1 for _ in self.alive_cells())
+        return int(np.count_nonzero(self._dense_coverage() < self.k))
 
     def alive_cell_bound(self) -> int:
-        """Cheap upper bound on :meth:`alive_count` (no cell evaluations)."""
+        """Cheap upper bound on :meth:`alive_count`.
+
+        For ``k = 1`` the region polygon's bounding-box cell span (no
+        cell evaluations); for ``k > 1`` the exact count of the cached
+        dense coverage pass, which :meth:`alive_cells` reads anyway.
+        """
         if self.k == 1:
             span = self._bbox_cell_range()
             if span is None:
                 return 0
             ix0, ix1, iy0, iy1 = span
             return (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-        return self.size * self.size
+        return self.alive_count()
 
     def alive_fraction(self) -> float:
         """Alive cells as a fraction of all cells (the monitored area)."""
@@ -525,7 +536,12 @@ class AliveCellGrid:
         return out
 
     def _dense_coverage(self):
-        coverage = np.zeros((self.size, self.size), dtype=np.int32)
-        for hp in self._halfplanes:
-            coverage += self._dense_outside(hp)
+        """Per-cell covering half-plane counts, cached until the next
+        mutation (treat the returned array as read-only)."""
+        coverage = self._coverage
+        if coverage is None:
+            coverage = np.zeros((self.size, self.size), dtype=np.int32)
+            for hp in self._halfplanes:
+                coverage += self._dense_outside(hp)
+            self._coverage = coverage
         return coverage

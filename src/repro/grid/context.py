@@ -264,6 +264,36 @@ class SharedTickContext:
             entry.complete_ref = threshold_ref
         return len(rows)
 
+    def witness_certificate(
+        self,
+        oid: ObjectId,
+        center: Point,
+        signature: FrozenSet[ObjectId],
+        category: Optional[Category],
+        k: int,
+        threshold_ref: Point,
+    ) -> Optional[Tuple[ObjectId, ...]]:
+        """The ``k`` witnesses behind a :meth:`witness_count` that just
+        returned ``k`` for this probe: the first ``k`` ids its memo entry
+        banked that are strictly closer to ``center`` than
+        ``threshold_ref`` (the exact predicate — banked entries may stem
+        from a co-evaluated probe with a larger threshold).  ``None``
+        when the entry holds fewer, which a count of ``k`` on the same
+        key rules out.
+        """
+        self._ensure_fresh()
+        entry = self._witness.get(self.probe_key(oid, category, signature))
+        if entry is None or entry.center != center:
+            return None
+        positions = self.grid._positions
+        out: List[ObjectId] = []
+        for wid in entry.known:
+            if predicates.closer_than(center, positions[wid], threshold_ref):
+                out.append(wid)
+                if len(out) == k:
+                    return tuple(out)
+        return None
+
     # ------------------------------------------------------------------
     # Nearest probes (bichromatic absorption)
     # ------------------------------------------------------------------

@@ -56,58 +56,75 @@ ObjectFilter = Callable[[ObjectId, "PointLike"], bool]
 PointLike = Tuple[float, float]
 
 
-class SearchKind(enum.Enum):
-    """Which cost bucket of the Section 6 model a search belongs to."""
+class SearchKind(enum.IntEnum):
+    """Which cost bucket of the Section 6 model a search belongs to.
 
-    UNCONSTRAINED = "NN"
-    CONSTRAINED = "NN_c"
-    BOUNDED = "NN_b"
+    An ``IntEnum``, so the per-kind counters of :class:`SearchStats` are
+    plain lists indexed by the kind itself: the kernels bump a counter
+    per examined object, and a dict keyed by an ``enum.Enum`` would pay
+    its Python-level ``__hash__`` every time.
+    """
+
+    UNCONSTRAINED = 0
+    CONSTRAINED = 1
+    BOUNDED = 2
+
+
+#: Each kind's name in snapshot keys and metric labels, by kind.
+_KIND_LABELS = ("NN", "NN_c", "NN_b")
+#: ``SearchStats.snapshot`` keys per kind, formatted once.
+_SNAPSHOT_KEYS = tuple(
+    (f"calls_{label}", f"cells_{label}", f"objects_{label}")
+    for label in _KIND_LABELS
+)
+
+
+def _per_kind() -> List[int]:
+    return [0] * len(SearchKind)
 
 
 @dataclass
 class SearchStats:
-    """Operation counters, bucketed per search kind."""
+    """Operation counters, bucketed per search kind (lists indexed by
+    :class:`SearchKind`)."""
 
-    calls: Dict[SearchKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in SearchKind}
-    )
-    cells_visited: Dict[SearchKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in SearchKind}
-    )
-    objects_examined: Dict[SearchKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in SearchKind}
-    )
+    calls: List[int] = field(default_factory=_per_kind)
+    cells_visited: List[int] = field(default_factory=_per_kind)
+    objects_examined: List[int] = field(default_factory=_per_kind)
     #: Closer-than style probes (count / witnesses / first) — the Phase II
     #: verification workload, attributed per query by the cost ledger.
     witness_probes: int = 0
+    #: Monochromatic candidates whose standing witness certificate
+    #: decided verification without a probe (``repro.core.mono``).
+    certified: int = 0
 
     def reset(self) -> None:
-        for kind in SearchKind:
-            self.calls[kind] = 0
-            self.cells_visited[kind] = 0
-            self.objects_examined[kind] = 0
+        for counters in (self.calls, self.cells_visited, self.objects_examined):
+            counters[:] = _per_kind()
         self.witness_probes = 0
+        self.certified = 0
 
     @property
     def total_calls(self) -> int:
-        return sum(self.calls.values())
+        return sum(self.calls)
 
     @property
     def total_cells(self) -> int:
-        return sum(self.cells_visited.values())
+        return sum(self.cells_visited)
 
     @property
     def total_objects(self) -> int:
-        return sum(self.objects_examined.values())
+        return sum(self.objects_examined)
 
     def snapshot(self) -> Dict[str, int]:
         """A flat, immutable view suitable for metric logs."""
         out: Dict[str, int] = {}
-        for kind in SearchKind:
-            out[f"calls_{kind.value}"] = self.calls[kind]
-            out[f"cells_{kind.value}"] = self.cells_visited[kind]
-            out[f"objects_{kind.value}"] = self.objects_examined[kind]
+        for kind, (calls, cells, objects) in enumerate(_SNAPSHOT_KEYS):
+            out[calls] = self.calls[kind]
+            out[cells] = self.cells_visited[kind]
+            out[objects] = self.objects_examined[kind]
         out["witness_probes"] = self.witness_probes
+        out["certified"] = self.certified
         return out
 
 

@@ -146,6 +146,9 @@ class QueryTickCost:
     cells_visited: int = 0
     objects_examined: int = 0
     witness_probes: int = 0
+    #: Monochromatic candidates a standing witness certificate decided
+    #: without a probe (``SearchStats.certified``).
+    certified: int = 0
     shared_hits: int = 0
     shared_misses: int = 0
     exact_fallbacks: int = 0
@@ -176,6 +179,8 @@ class QueryTickCost:
                 self.objects_examined += amount
             elif key == "witness_probes":
                 self.witness_probes += amount
+            elif key == "certified":
+                self.certified += amount
 
     def phase_total(self) -> float:
         return sum(self.phases.values())
@@ -463,7 +468,8 @@ class QueryCostLedger:
                 f"  search: {cost.search_calls} calls,"
                 f" {cost.cells_visited} cells visited,"
                 f" {cost.objects_examined} objects examined,"
-                f" {cost.witness_probes} witness probes\n"
+                f" {cost.witness_probes} witness probes,"
+                f" {cost.certified} certified\n"
             )
             probes = cost.shared_hits + cost.shared_misses
             if probes:

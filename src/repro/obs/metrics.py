@@ -267,7 +267,7 @@ class MetricsRegistry:
 # SearchStats bridge
 # ----------------------------------------------------------------------
 
-#: SearchKind.value ("NN", "NN_c", "NN_b") -> exported flavor label.
+#: SearchStats snapshot kind label ("NN", "NN_c", "NN_b") -> exported flavor label.
 SEARCH_KIND_LABELS = {
     "NN": "UNCONSTRAINED",
     "NN_c": "CONSTRAINED",
@@ -290,11 +290,18 @@ def record_ops_delta(
     Keys look like ``calls_NN_c`` (see ``SearchStats.snapshot``); they are
     split into the metric name and the search-flavor label, so the three
     flavors (UNCONSTRAINED / CONSTRAINED / BOUNDED) stay distinguishable.
+    ``certified`` (verifications a witness certificate settled) has no
+    flavor and feeds ``search_certified_total``.
     """
     for key, amount in ops.items():
+        if amount <= 0:
+            continue
+        if key == "certified":
+            registry.counter("search_certified_total", **extra_labels).inc(amount)
+            continue
         prefix, _, kind_value = key.partition("_")
         name = _OPS_METRICS.get(prefix)
-        if name is None or amount <= 0:
+        if name is None:
             continue
         flavor = SEARCH_KIND_LABELS.get(kind_value, kind_value)
         registry.counter(name, kind=flavor, **extra_labels).inc(amount)
@@ -308,15 +315,12 @@ def absorb_search_stats(
     Every flavor is touched even at zero, so exports always show the
     complete UNCONSTRAINED / CONSTRAINED / BOUNDED breakdown.
     """
-    for kind, calls in stats.calls.items():
-        flavor = SEARCH_KIND_LABELS.get(kind.value, kind.value)
-        registry.counter("search_calls_total", kind=flavor, **extra_labels).inc(calls)
-        registry.counter(
-            "search_cells_visited_total", kind=flavor, **extra_labels
-        ).inc(stats.cells_visited[kind])
-        registry.counter(
-            "search_objects_examined_total", kind=flavor, **extra_labels
-        ).inc(stats.objects_examined[kind])
+    snap = stats.snapshot()
+    for label, flavor in SEARCH_KIND_LABELS.items():
+        for prefix, name in _OPS_METRICS.items():
+            registry.counter(name, kind=flavor, **extra_labels).inc(
+                snap[f"{prefix}_{label}"]
+            )
 
 
 # ----------------------------------------------------------------------

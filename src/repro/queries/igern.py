@@ -84,7 +84,8 @@ class IGERNQuery(ContinuousQuery):
 
     def footprint(self) -> "QueryFootprint | None":
         """Monitored cells (alive region + witness balls) and objects
-        (the monitored set plus the query object itself).
+        (the monitored set, the query object itself, and the witnesses
+        of the monochromatic candidates' certificates).
 
         ``None`` until the initial step ran, and whenever the monitored
         region is momentarily too large for a bounded footprint (the
@@ -103,6 +104,7 @@ class IGERNQuery(ContinuousQuery):
         if cells is None:
             return None
         objects = set(state.monitored)
+        objects.update(state.certificate_witnesses())
         if self.position.query_id is not None:
             objects.add(self.position.query_id)
         return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))

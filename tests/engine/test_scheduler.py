@@ -253,6 +253,42 @@ def test_resume_forces_evaluation():
     assert sim.step()["q"].skipped
 
 
+def test_bichromatic_k2_query_gets_a_footprint():
+    """k > 1 regions are bounded by their dense alive count, not by the
+    whole grid, so a tight bichromatic k = 2 region gets a footprint."""
+    spec = WorkloadSpec(
+        n_objects=300, grid_size=16, seed=7, bichromatic=True, a_fraction=0.5
+    )
+    sim = build_simulator(spec)
+    qid = central_object(sim, "A")
+    query = IGERNBiQuery(sim.grid, QueryPosition(sim.grid, query_id=qid), k=2)
+    sim.add_query("bi-k2", query)
+    sim.execute_queries()
+    sim.step()
+    assert query.footprint() is not None
+
+
+def test_mono_footprint_lists_certificate_witnesses_not_their_balls():
+    """A monochromatic footprint holds every certificate witness as an
+    object, and the witness balls of the answers only."""
+    spec = WorkloadSpec(n_objects=300, grid_size=16, seed=7)
+    sim = build_simulator(spec)
+    query = IGERNMonoQuery(
+        sim.grid, QueryPosition(sim.grid, query_id=central_object(sim))
+    )
+    sim.add_query("mono", query)
+    sim.execute_queries()
+    sim.step()
+    state = query._state
+    fp = query.footprint()
+    assert fp is not None
+    assert state.certificates, "no non-answer candidate was certified"
+    assert set(state.certificates).isdisjoint(state.answer)
+    assert set(state.certificates) | state.answer == set(state.monitored)
+    assert state.certificate_witnesses() <= fp.objects
+    assert fp.cells == state.footprint_cells(sim.grid)
+
+
 def test_scheduler_off_never_skips():
     sim = Simulator(
         ScriptedGenerator([("a", Point(0.2, 0.2), 0)], [[], []]),

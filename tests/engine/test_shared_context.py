@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.simulation import Simulator
+from repro.geometry import predicates
 from repro.geometry.bisector import bisector_halfplane
+from repro.geometry.point import Point, dist_sq
 from repro.grid.alive import AliveCellGrid
 from repro.grid.context import SharedTickContext
 from repro.grid.index import GridIndex
@@ -160,6 +162,40 @@ class TestMemoEqualsCold:
         # Second read is a memo hit and still the same classification.
         assert ctx.cell_covered(alive, hp, (cx, cy)) == cold
         assert ctx.hits_by_kind["classify"] == 1
+
+
+class TestWitnessCertificate:
+    """The certificate read back after a probe is sound whatever other
+    thresholds banked witnesses into the same memo entry first (fixed
+    queries at different points share a candidate's entry)."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_lists_k_strict_witnesses(self, data):
+        grid = GridIndex(6)
+        n = data.draw(st.integers(min_value=3, max_value=16), label="n_objects")
+        for oid in range(n):
+            grid.insert(oid, data.draw(point, label=f"pos{oid}"), 0)
+        ctx = SharedTickContext(grid)
+        ctx.begin_tick()
+        search = GridSearch(grid)
+        oid = data.draw(st.integers(0, n - 1), label="candidate")
+        center = grid.position(oid)
+        sig = frozenset({oid})
+        k = data.draw(st.integers(1, 3), label="k")
+        queries = data.draw(st.lists(point, min_size=1, max_size=4), label="queries")
+        for ref in map(Point._make, queries):
+            t2 = dist_sq(center, ref)
+            count = ctx.witness_count(
+                search, oid, center, t2, sig, None, k, threshold_ref=ref
+            )
+            cert = ctx.witness_certificate(oid, center, sig, None, k, ref)
+            if count < k:
+                assert cert is None
+                continue
+            assert cert is not None and len(set(cert)) == k and oid not in cert
+            for wid in cert:
+                assert predicates.closer_than(center, grid.position(wid), ref)
 
 
 class TestAccounting:

@@ -180,6 +180,22 @@ class TestRegionEnumeration:
             region.add_halfplane(bisector_halfplane(q, (rng.random(), rng.random())))
         assert region.alive_count() <= region.alive_cell_bound()
 
+    def test_k2_bound_is_the_dense_alive_count(self):
+        rng = random.Random(5)
+        region = AliveCellGrid(16, k=2)
+        q = (0.5, 0.5)
+        for _ in range(6):
+            region.add_halfplane(bisector_halfplane(q, (rng.random(), rng.random())))
+        alive = set(region.alive_cells())
+        assert region.alive_cell_bound() == region.alive_count() == len(alive)
+        assert len(alive) < 16 * 16
+        # The cached coverage follows every mutation.
+        region.add_halfplane(bisector_halfplane(q, (0.55, 0.5)))
+        assert region.alive_cell_bound() == len(set(region.alive_cells()))
+        assert region.alive_cell_bound() <= len(alive)
+        region.reset()
+        assert region.alive_cell_bound() == 16 * 16
+
 
 class TestRedundancy:
     def test_active_plane_kills_uniquely(self):
