@@ -19,7 +19,8 @@ the prior state of the art:
   and per-step reports;
 - :class:`repro.core.network.NetworkCore` — filter-and-refine evaluation
   of both flavours under a road-network metric, where bisector pruning
-  does not apply.
+  does not apply; with the query still, it re-probes only what moved
+  objects can affect.
 """
 
 from repro.core.bi import BiIGERN

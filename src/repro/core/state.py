@@ -57,12 +57,14 @@ def _add_ball_cells(grid, center: Point, radius: float, out: set, cap: int) -> b
 
 
 class Certificate(NamedTuple):
-    """Why a monochromatic candidate is not an answer.
+    """Why a candidate is not an answer.
 
     ``witnesses`` are the ``k`` objects its last verification probe found
     strictly closer to it than the query, with ``candidate`` and ``query``
-    the positions that probe saw.  While :func:`certificate_holds`, the
-    candidate has at least ``k`` strict witnesses and needs no probe.
+    the positions that probe saw.  While its re-check holds
+    (:func:`certificate_holds` for monochromatic IGERN,
+    :func:`repro.core.network.certificate_holds` under a network metric),
+    the candidate has at least ``k`` strict witnesses and needs no probe.
     """
 
     candidate: Point

@@ -228,9 +228,10 @@ class ScenarioResult:
     #: (``issued`` / ``held`` / ``broken``) — feeds the fuzz report's
     #: ``leases`` coverage dimension.
     lease_stats: Dict[str, int] = field(default_factory=dict)
-    #: Verifications a witness certificate settled without a probe,
+    #: Verifications settled without a probe (``SearchStats.certified``),
     #: summed over every side's IGERN queries — feeds the fuzz report's
-    #: ``certificates`` coverage dimension.
+    #: ``certificates`` coverage dimension: ``used`` for a Euclidean
+    #: scenario, ``network`` for a network-metric one.
     certified: int = 0
 
     @property
@@ -751,7 +752,13 @@ class FuzzReport:
         else:
             lease_bucket = "none"
         self._cover("leases", lease_bucket)
-        self._cover("certificates", "used" if result.certified else "none")
+        if not result.certified:
+            certificate_bucket = "none"
+        elif sc.metric == "network":
+            certificate_bucket = "network"
+        else:
+            certificate_bucket = "used"
+        self._cover("certificates", certificate_bucket)
         if not result.ok:
             self.failures.append(result)
 

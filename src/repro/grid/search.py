@@ -94,8 +94,10 @@ class SearchStats:
     #: Closer-than style probes (count / witnesses / first) — the Phase II
     #: verification workload, attributed per query by the cost ledger.
     witness_probes: int = 0
-    #: Monochromatic candidates whose standing witness certificate
-    #: decided verification without a probe (``repro.core.mono``).
+    #: Candidates verified without a probe: monochromatic or network
+    #: non-answers whose standing witness certificate held, and network
+    #: answers no moved or inserted object could have entered
+    #: (``repro.core.mono``, ``repro.core.network``).
     certified: int = 0
 
     def reset(self) -> None:
@@ -187,6 +189,9 @@ class GridSearch:
         # the Euclidean lower bound) and never touch the bisector-based
         # kernels.
         self.metric = metric
+        #: The ids the last :meth:`network_witness_count` call counted,
+        #: in the order it met them: a non-answer's witness certificate.
+        self.last_witnesses: List[ObjectId] = []
         # Per-tick shared-execution context (see repro.grid.context).  When
         # bound by the batch executor, region scans read memoized per-cell
         # snapshots instead of re-enumerating the live cell directory; when
@@ -971,10 +976,12 @@ class GridSearch:
         object is refined as soon as it is found.  The count is
         order-independent, so returning as soon as it reaches
         ``stop_at`` gives exactly what the full enumeration would clamp
-        to.
+        to.  The ids it counted are left in :attr:`last_witnesses`.
         """
         if metric is None:
             metric = self.metric
+        found: List[ObjectId] = []
+        self.last_witnesses = found
         if threshold <= 0.0:
             # Network distances are non-negative; strictly-below-zero
             # (or -equal-zero) witnesses cannot exist.
@@ -991,7 +998,6 @@ class GridSearch:
         locate = metric.locate
         distance_located = metric.distance_located
         loc_center = locate(center)
-        count = 0
         for key in self._cells_within(cx, cy, r2, kind):
             for oid in grid.objects_in_cell(key, category):
                 if oid in excluded:
@@ -1004,10 +1010,10 @@ class GridSearch:
                     dx * dx + dy * dy <= r2
                     and distance_located(loc_center, locate(p)) < threshold
                 ):
-                    count += 1
-                    if stop_at is not None and count >= stop_at:
-                        return count
-        return count
+                    found.append(oid)
+                    if stop_at is not None and len(found) >= stop_at:
+                        return len(found)
+        return len(found)
 
     # ------------------------------------------------------------------
     # Region scans

@@ -221,6 +221,18 @@ class NetworkMetric(Metric):
             network.locate(a), network.locate(b), self.node_distances
         )
 
+    def retain(self, point: Iterable[float], located: Located) -> None:
+        """Carry ``point``'s snap and the distance maps of its edge's
+        endpoints across the next tick boundary, as a probe from
+        ``point`` would: reads that promote existing memo entries,
+        computing and counting nothing (a verdict kept without a probe
+        must not leave its maps to be evicted and recomputed later)."""
+        network = self.network
+        network.snap_memo.get((float(point[0]), float(point[1])))
+        memo = network.distance_memo
+        memo.get(located[0])
+        memo.get(located[1])
+
     def prefilter_radius(self, threshold: float) -> float:
         if not math.isfinite(threshold):
             return math.inf

@@ -146,8 +146,8 @@ class QueryTickCost:
     cells_visited: int = 0
     objects_examined: int = 0
     witness_probes: int = 0
-    #: Monochromatic candidates a standing witness certificate decided
-    #: without a probe (``SearchStats.certified``).
+    #: Candidates verified without a probe: a witness certificate held,
+    #: or a network answer's ball saw no entry (``SearchStats.certified``).
     certified: int = 0
     shared_hits: int = 0
     shared_misses: int = 0

@@ -290,8 +290,8 @@ def record_ops_delta(
     Keys look like ``calls_NN_c`` (see ``SearchStats.snapshot``); they are
     split into the metric name and the search-flavor label, so the three
     flavors (UNCONSTRAINED / CONSTRAINED / BOUNDED) stay distinguishable.
-    ``certified`` (verifications a witness certificate settled) has no
-    flavor and feeds ``search_certified_total``.
+    ``certified`` (candidates verified without a probe) has no flavor
+    and feeds ``search_certified_total``.
     """
     for key, amount in ops.items():
         if amount <= 0:

@@ -90,10 +90,10 @@ class IGERNQuery(ContinuousQuery):
         ``None`` until the initial step ran, and whenever the monitored
         region is momentarily too large for a bounded footprint (the
         executor then takes the unbounded search path).  Network-metric
-        queries always return ``None``: their witness sets have no
-        bounded Euclidean footprint (a far-away object can be
-        network-close), so the scheduler honestly re-evaluates every
-        tick.
+        queries always return ``None``: without a pruned region every
+        object is a candidate, so any mover anywhere can change the
+        answer and must dispatch the query.  (Witness balls are bounded:
+        ``d_E <= d_N`` keeps each inside its padded Euclidean ball.)
         """
         if not self.metric.euclidean:
             return None

@@ -7,15 +7,25 @@ answers with the scheduler on and off, with batching on and off, and —
 at every tick of every configuration — match the independent networkx
 brute oracle registered in the same simulator.
 
-Network queries report no footprint (their reach along the network has
-no cell-box description), so the scheduler must honestly re-evaluate
-them every tick; that property is pinned here too.
+Network queries report no footprint (every object is a candidate, so
+any mover can change the answer), so the scheduler must honestly
+re-evaluate them every tick; that property is pinned here too.
+
+Most lockstep cases move the query object every tick, which takes the
+core's full re-evaluation path.  The fixed-query cases below move about
+one object in ten, the path a monitoring workload runs: most candidates
+keep their verdict through a witness certificate or the padded entry
+test, and the answer must still match the oracle at every tick.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.core.mono import MonoIGERN
 from repro.engine.simulation import Simulator
 from repro.engine.workload import (
     WorkloadSpec,
@@ -23,7 +33,7 @@ from repro.engine.workload import (
     build_simulator,
     central_object,
 )
-from repro.core.mono import MonoIGERN
+from repro.fuzz.scenario import ScriptedWorkload
 from repro.metric import STATS, NetworkMetric
 from repro.motion.churn import ChurnRandomWalkGenerator
 from repro.queries import (
@@ -154,6 +164,104 @@ def test_lockstep_under_churn(kind: str):
         return sim
 
     _assert_network_lockstep(make_sim(True), make_sim(False), n_ticks=8)
+
+
+def _run_fixed_query(sim: Simulator, network, kind: str, k: int, n_ticks: int):
+    """Register a network query at a fixed mid-edge point and its brute
+    oracle, run, and check the answers and the state at every tick."""
+    u, v, length = network.sorted_edges()[11]
+    qpoint = network.point_on_edge(u, v, 0.5 * length)
+    pos = QueryPosition(sim.grid, fixed=(qpoint.x, qpoint.y))
+    metric = NetworkMetric(network)
+    if kind == "mono":
+        query = IGERNMonoQuery(sim.grid, pos, k=k, metric=metric)
+        oracle = NetworkBruteMonoQuery(sim.grid, pos, network, k=k)
+    else:
+        query = IGERNBiQuery(sim.grid, pos, k=k, metric=metric)
+        oracle = NetworkBruteBiQuery(sim.grid, pos, network, k=k)
+    sim.add_query("q", query)
+    sim.add_query("oracle", oracle)
+    problems = []
+    rebuilds = []
+
+    def check(tick: int, sim: Simulator) -> None:
+        problems.extend(query._state.check_invariants(sim.grid, k=k))
+        rebuilds.append(query.last_report.movement_rebuild)
+
+    res = sim.run(n_ticks, on_tick=check)
+    igern = [t.answer for t in res["q"].ticks]
+    assert igern == [t.answer for t in res["oracle"].ticks]
+    assert problems == []
+    # The query never moves, so no step is a full rebuild.
+    assert not any(rebuilds)
+    return query
+
+
+@pytest.mark.parametrize(
+    "kind,k",
+    [("mono", 1), ("mono", 2), ("mono", 3), ("bi", 1), ("bi", 2), ("bi", 3)],
+)
+def test_fixed_query_sparse_movers_certified(kind: str, k: int):
+    """A fixed query over road movers, one in ten moving a tick: the
+    oracle's answer at every tick, and verdicts kept without a probe.
+    Movers run several times the default speed, so within the run
+    witnesses leave candidates' balls and enter answers' balls."""
+    spec = dataclasses.replace(
+        _network_spec(kind, move_fraction=0.1), speed_range=(0.02, 0.06)
+    )
+    network = build_network(spec)
+    sim = build_simulator(spec, scheduler=True)
+    query = _run_fixed_query(sim, network, kind, k, n_ticks=24)
+    assert query.search.stats.certified > 0
+
+
+def _sparse_churn_script(network, kind: str, seed: int, n_ticks: int) -> dict:
+    """Road objects of which about one in ten jumps each tick, plus one
+    off-network birth and one death per tick."""
+    rng = random.Random(seed)
+    edges = network.sorted_edges()
+
+    def road_point():
+        u, v, length = edges[rng.randrange(len(edges))]
+        p = network.point_on_edge(u, v, rng.uniform(0.0, length))
+        return [p.x, p.y]
+
+    def category():
+        return 0 if kind == "mono" else rng.choice(["A", "B"])
+
+    live = list(range(60))
+    script = {
+        "initial": [[oid, *road_point(), category()] for oid in live],
+        "ticks": [],
+    }
+    next_id = len(live)
+    for _ in range(n_ticks):
+        movers = rng.sample(live, len(live) // 10)
+        gone = rng.choice([oid for oid in live if oid not in movers])
+        live.remove(gone)
+        born = [next_id, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), category()]
+        live.append(next_id)
+        next_id += 1
+        script["ticks"].append(
+            {
+                "moves": [[oid, *road_point()] for oid in movers],
+                "inserts": [born],
+                "removes": [gone],
+            }
+        )
+    return script
+
+
+@pytest.mark.parametrize("kind", ["mono", "bi"])
+def test_fixed_query_sparse_churn_certified(kind: str):
+    """Sparse movers plus a birth off the network and a death every
+    tick: inserted objects are new candidates and may enter an answer's
+    ball, removed ones break the certificates naming them."""
+    network = build_network(_network_spec(kind))
+    script = _sparse_churn_script(network, kind, seed=17, n_ticks=12)
+    sim = Simulator(ScriptedWorkload(script), grid_size=16, scheduler=True)
+    query = _run_fixed_query(sim, network, kind, 2, n_ticks=12)
+    assert query.search.stats.certified > 0
 
 
 def test_batched_run_matches_cold_and_shares_maps():

@@ -14,6 +14,7 @@ otherwise recompute them over and over.
 import pickle
 import random
 
+from repro.core.network import NetworkCore
 from repro.engine.simulation import Simulator
 from repro.fuzz.scenario import ScriptedWorkload
 from repro.grid.index import GridIndex
@@ -188,3 +189,82 @@ def test_pickled_network_carries_no_memo_entries():
     assert NetworkMetric(clone).distance((0.1, 0.1), (0.9, 0.9)) == metric.distance(
         (0.1, 0.1), (0.9, 0.9)
     )
+
+
+class _EveryCandidateCore(NetworkCore):
+    """Re-probes every candidate every step, as the core did before it
+    kept witness certificates: the reference for the retention bound."""
+
+    def incremental(self, state, qpos):
+        fresh, report = self.initial(qpos)
+        vars(state).update(vars(fresh))
+        return report
+
+
+def test_certificates_keep_memos_and_dijkstra_runs_at_every_candidate_levels():
+    """Verdicts kept without a probe still read the snap and the two
+    distance maps a probe would, so on a fixed-query run with one mover
+    in ten neither memo outgrows a run that re-probes every candidate,
+    and Dijkstra stays at most one run a tick once the memos are warm."""
+    points = [(0.3, 0.3), (0.7, 0.7), (0.7, 0.3), (0.3, 0.7),
+              (0.5, 0.5), (0.5, 0.2), (0.2, 0.5), (0.8, 0.5)]
+
+    def make_sim(reference: bool):
+        net = RoadNetwork.grid_city(rows=12, cols=12, seed=0)
+        generator = NetworkMovingObjectGenerator(net, 40, seed=6, move_fraction=0.1)
+        sim = Simulator(generator, grid_size=8, flight=False)
+        queries = []
+        for i, point in enumerate(points):
+            query = IGERNMonoQuery(
+                sim.grid, QueryPosition(sim.grid, fixed=point), metric=NetworkMetric(net)
+            )
+            if reference:
+                query._algo = _EveryCandidateCore(
+                    sim.grid, query.metric, search=query.search
+                )
+            sim.add_query(f"q{i}", query)
+            queries.append(query)
+        return sim, net, queries
+
+    sim, net, queries = make_sim(reference=False)
+    ref_sim, ref_net, _ = make_sim(reference=True)
+    sim.run(0)
+    ref_sim.run(0)
+    runs = ref_runs = 0
+    warm_up, n_ticks = 5, 60
+    for tick in range(1, n_ticks + 1):
+        before = STATS.dijkstra_runs
+        sim.step()
+        between = STATS.dijkstra_runs
+        ref_sim.step()
+        if tick > warm_up:
+            runs += between - before
+            ref_runs += STATS.dijkstra_runs - between
+        assert sim.grid.positions_snapshot() == ref_sim.grid.positions_snapshot()
+        assert len(net.snap_memo) <= len(ref_net.snap_memo)
+        assert len(net.distance_memo) <= len(ref_net.distance_memo)
+    assert runs <= ref_runs
+    assert runs <= n_ticks - warm_up
+    # The run did take the certificate path.
+    assert sum(q.search.stats.certified for q in queries) > 0
+
+
+def test_retention_reads_keep_entries_without_counting_requests():
+    """``NetworkMetric.retain`` carries a point's snap and its edge's two
+    endpoint maps across tick boundaries, and counts no cache request,
+    hit or miss, and no Dijkstra run."""
+    net = RoadNetwork.grid_city(rows=4, cols=4, seed=1)
+    metric = NetworkMetric(net)
+    grid = _one_object_grid()
+    metric.observe_grid(grid)
+    point = (0.31, 0.42)
+    located = metric.locate(point)
+    metric.distance_located(located, metric.locate((0.9, 0.9)))
+    before = STATS.snapshot()
+    for target in ((0.6, 0.6), (0.7, 0.7), (0.8, 0.8)):
+        grid.move("a", target)
+        metric.observe_grid(grid)
+        metric.retain(point, located)
+    assert STATS.snapshot() == before
+    assert point in net.snap_memo
+    assert located[0] in net.distance_memo and located[1] in net.distance_memo
