@@ -26,7 +26,7 @@ the state's ``monitored`` dict.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.region import RegionCore
 from repro.core.state import SCAN_CELL_LIMIT, RegionState, StepReport
@@ -104,9 +104,11 @@ class BiIGERN(RegionCore):
         if state.alive.alive_cell_bound() <= SCAN_CELL_LIMIT:
             # Fast path: one scan of the small monitored region serves both
             # the Phase I tightening (absorb the A objects) and the Phase II
-            # verification (resolve the B objects).  B objects whose cells
-            # die during absorption are re-checked inside _verify, so the
-            # shared enumeration stays sound.
+            # verification (resolve the B objects).  Absorption and the
+            # guarded prune leave every B object that is point-alive at
+            # verification inside this scan's cells, and _verify re-tests
+            # each against the region it sees, so the shared enumeration
+            # stays sound.
             with phase(cost, "bi.incremental.tighten"):
                 rows = self.search.region_objects_by_distance(
                     state.qpos, state.alive, kind=SearchKind.BOUNDED
@@ -115,7 +117,8 @@ class BiIGERN(RegionCore):
                 found = 0
                 pending = []
                 for _, oid in rows:
-                    if grid.category(oid) == self.cat_a:
+                    category = grid.category(oid)
+                    if category == self.cat_a:
                         if oid in excluded:
                             continue
                         pos = grid.position(oid)
@@ -123,7 +126,7 @@ class BiIGERN(RegionCore):
                             continue
                         self._absorb(state, oid, pos)
                         found += 1
-                    else:
+                    elif category == self.cat_b:
                         pending.append(oid)
             with phase(cost, "bi.incremental.prune"):
                 pruned = self._prune(state) if found else 0
@@ -151,37 +154,41 @@ class BiIGERN(RegionCore):
     ) -> Tuple[Set[ObjectId], int]:
         """Phase II: resolve the B objects inside the alive region.
 
-        ``pending`` lets the caller reuse an enumeration it already has
-        (the incremental fast path); every entry is re-checked for cell
-        and point aliveness, so a stale enumeration only costs work, never
-        correctness.  Returns the answer set and how many additional A
-        objects were absorbed into ``NN_A`` along the way.
+        ``pending`` must be the B enumeration of this evaluation's own
+        region scan (the incremental fast path); without it the alive
+        cells are enumerated here.  Either way it holds every B object
+        that can be point-alive at verification, and the region only
+        shrinks during the loop, so the objects that pass the point
+        filter and are probed include every B object point-alive in the
+        final region.  They are recorded as ``state.probed``, the B
+        objects whose witness balls the footprint covers
+        (``docs/ALGORITHM.md``, "Bichromatic footprints"); a pending
+        list from an earlier scan would leave that record incomplete.
+        Returns the answer set and how many additional A objects were
+        absorbed into ``NN_A`` along the way.
         """
         q = state.qpos
-        grid = self.grid
+        alive = state.alive
+        positions = self.grid._positions
         search = self.search
         answer: Set[ObjectId] = set()
+        probed: List[ObjectId] = []
         extra = 0
         exclude_nn = {self.query_id} if self.query_id is not None else set()
         ctx = self.shared_context
         sig = frozenset(exclude_nn)
-        # Snapshot: the alive region only shrinks during the scan, and B
-        # objects falling into freshly dead cells are provably non-answers,
-        # so they are simply re-checked for aliveness before the NN test.
         if pending is None:
-            pending = list(search.objects_in_alive(state.alive, category=self.cat_b))
+            pending = list(search.objects_in_alive(alive, category=self.cat_b))
         for ob in pending:
-            if ob not in grid:
-                continue
-            pos = grid.position(ob)
-            if not state.alive.is_alive(grid.cell_key(pos)):
-                continue
-            # Point-level pre-filter on the same bisectors: a B object
-            # strictly closer to a monitored A object than to the query is
+            pos = positions[ob]
+            # Point-level filter on the region's bisectors: a B object
+            # strictly closer to k monitored A objects than to the query is
             # provably not an answer, sparing its nearest-A search.  (Cell
-            # granularity over-covers the region by the straddling cells.)
-            if not state.alive.point_alive(pos):
+            # granularity over-covers the region by the straddling cells;
+            # the exact point test implies the cell test.)
+            if not alive.point_alive(pos):
                 continue
+            probed.append(ob)
             dq2 = dist_sq(pos, q)
             # RkNN semantics: o_B answers when fewer than k A objects are
             # strictly closer to it than the query (k = 1: the nearest-A
@@ -219,10 +226,17 @@ class BiIGERN(RegionCore):
                 )
             oa = hit[0] if hit is not None else None
             if oa is not None and oa not in state.monitored:
-                self._absorb(state, oa, grid.position(oa))
+                self._absorb(state, oa, positions[oa])
                 extra += 1
-        if extra:
-            # One cleaning pass at the end of the scan: equivalent to the
-            # paper's per-addition cleaning, at a fraction of the cost.
-            self._prune(state)
+        # One cleaning pass at the end of the scan: equivalent to the
+        # paper's per-addition cleaning, at a fraction of the cost.  A
+        # half-plane it removes can revive a B object the point filter
+        # skipped (the guarded rule decides redundancy per cell at
+        # k >= 2), so the pending objects are then re-tested against the
+        # final region.
+        if extra and self._prune(state):
+            probed = [ob for ob in pending if alive.point_alive(positions[ob])]
+        # A literal prune rebuilds the region from the survivors, which
+        # can outgrow the scanned cells: cover every B object instead.
+        state.probed = probed if self.prune != "literal" else None
         return answer, extra

@@ -148,6 +148,9 @@ class RegionState:
     monitored objects are of ``cat_a`` and the answers of ``cat_b``.
     ``certificates`` (monochromatic only) maps each non-answer candidate
     to the :class:`Certificate` its last verification issued.
+    ``probed`` (bichromatic only) lists the B objects the last
+    verification probed, a superset of the B objects point-alive in the
+    final region; ``None`` stands for every B object in the alive cells.
     """
 
     qpos: Point
@@ -157,6 +160,7 @@ class RegionState:
     monitored: Dict[ObjectId, Point] = field(default_factory=dict)
     answer: Set[ObjectId] = field(default_factory=set)
     certificates: Dict[ObjectId, Certificate] = field(default_factory=dict)
+    probed: Optional[List[ObjectId]] = None
 
     def certificate_witnesses(self) -> Set[ObjectId]:
         """Every witness some candidate's certificate relies on."""
@@ -172,13 +176,17 @@ class RegionState:
         cover of each verification witness ball: ``B(c, dist(c, q))`` per
         monochromatic candidate ``c`` without a certificate, i.e. per
         answer (its probe counts the objects strictly inside the ball),
-        or per B object ``b`` inside the region (where A objects decide
-        ``b``'s membership *and* where ``b``'s nearest A, the one
-        absorption into ``NN_A`` depends on, must lie).  A certified
-        candidate needs no ball: only its own, the query's or a
-        witness's movement can break the certificate, and those are
-        footprint objects (``IGERNQuery.footprint``).  Returns ``None``
-        when no valid bounded footprint exists:
+        or per B object ``b`` the last verification probed
+        (:attr:`probed`: where A objects decide ``b``'s membership *and*
+        where ``b``'s nearest A, the one absorption into ``NN_A``
+        depends on, must lie).  A certified candidate needs no ball: only
+        its own, the query's or a witness's movement can break the
+        certificate, and those are footprint objects
+        (``IGERNQuery.footprint``).  Nor does a B object the point filter
+        skipped: it stays point-dead, hence no answer, until the query or
+        an ``NN_A`` object moves or one of the alive cells is touched
+        (``docs/ALGORITHM.md``, "Bichromatic footprints").  Returns
+        ``None`` when no valid bounded footprint exists:
         for a bichromatic query, and for a monochromatic one at
         ``k = 1``, whenever the region bound exceeds
         :data:`SCAN_CELL_LIMIT` (the executor would fall back to the
@@ -200,6 +208,9 @@ class RegionState:
             centers = (
                 pos for oid, pos in self.monitored.items() if oid not in certified
             )
+        elif self.probed is not None:
+            positions = grid._positions
+            centers = (positions[ob] for ob in self.probed)
         else:
             centers = (
                 grid.position(ob)
@@ -229,6 +240,10 @@ class RegionState:
         - *answer monitored* (monochromatic) — the answer is a subset of
           the candidates; *answer typed* (bichromatic) — every reported
           RNN is an indexed B object;
+        - *point-alive B probed* (bichromatic, unless :attr:`probed` is
+          ``None``) — every B object inside an alive cell that is
+          point-alive in the region was probed by the last verification,
+          so the footprint covers its witness ball;
         - *answer verified* — every reported RNN has fewer than ``k``
           objects (A objects) other than itself and the query strictly
           closer than the query position, re-derived here by exhaustive
@@ -250,6 +265,7 @@ class RegionState:
         monitored = self.monitored
         cat_a, cat_b = self.cat_a, self.cat_b
         alive = self.alive
+        probed = None if cat_b is None or self.probed is None else set(self.probed)
         for key in alive.alive_cells():
             for oid in grid.objects_in_cell(key, cat_a):
                 if (
@@ -258,6 +274,10 @@ class RegionState:
                     and alive.point_alive(grid.position(oid))
                 ):
                     out.append(f"alive cell {key} holds unabsorbed object {oid!r}")
+            if probed is not None:
+                for oid in grid.objects_in_cell(key, cat_b):
+                    if oid not in probed and alive.point_alive(grid.position(oid)):
+                        out.append(f"point-alive B object {oid!r} was not probed")
         if cat_b is None:
             for oid in self.answer:
                 if oid not in monitored:

@@ -24,6 +24,8 @@ The figure inventory:
 
 from __future__ import annotations
 
+import functools
+import gc
 from typing import Dict, List, Optional
 
 from repro.analysis.cost_model import (
@@ -54,6 +56,30 @@ _DEF_SEED = 7
 _DEF_GRID = 64
 
 
+def _timed(experiment):
+    """Run a CPU-time experiment with the cyclic garbage collector off.
+
+    The figures compare per-tick times of a millisecond or less, and a
+    collection is charged to whichever query's tick happens to trigger
+    it: a full one walks every object the process tracks (about 60 ms
+    for a test session's ~100k objects on a 2-vCPU host).  As ``timeit``
+    does, the collector stays off while the experiment runs; reference
+    counting still frees acyclic garbage.
+    """
+
+    @functools.wraps(experiment)
+    def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return experiment(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
+
+
 def _mono_sim(n_objects: int, grid_size: int, seed: int):
     spec = WorkloadSpec(n_objects=n_objects, grid_size=grid_size, seed=seed)
     sim = build_simulator(spec)
@@ -78,6 +104,7 @@ def _pos(sim, qid) -> QueryPosition:
 # Figure 5: grid size
 # ----------------------------------------------------------------------
 
+@_timed
 def fig5(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> Dict[str, ExperimentResult]:
@@ -127,6 +154,7 @@ def fig5(
 # Figure 6: monochromatic scalability
 # ----------------------------------------------------------------------
 
+@_timed
 def fig6(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> Dict[str, ExperimentResult]:
@@ -188,6 +216,7 @@ def fig6(
 # Figure 7: monochromatic stability
 # ----------------------------------------------------------------------
 
+@_timed
 def fig7(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> Dict[str, ExperimentResult]:
@@ -229,6 +258,7 @@ def fig7(
 # Figure 8: bichromatic scalability
 # ----------------------------------------------------------------------
 
+@_timed
 def fig8(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> Dict[str, ExperimentResult]:
@@ -282,6 +312,7 @@ def fig8(
 # Figure 9: bichromatic stability
 # ----------------------------------------------------------------------
 
+@_timed
 def fig9(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> Dict[str, ExperimentResult]:
@@ -506,6 +537,7 @@ def monitored_area(
     return result
 
 
+@_timed
 def update_rate(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> ExperimentResult:
@@ -555,6 +587,7 @@ def update_rate(
     return result
 
 
+@_timed
 def query_count(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> ExperimentResult:
@@ -615,6 +648,7 @@ def query_count(
     return result
 
 
+@_timed
 def k_sweep(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> ExperimentResult:
@@ -661,6 +695,7 @@ def k_sweep(
     return result
 
 
+@_timed
 def data_skew(
     scale: Optional[float] = None, seed: int = _DEF_SEED
 ) -> ExperimentResult:

@@ -54,7 +54,8 @@ After every tick it checks, one loop over the table per check:
    :meth:`~repro.core.network.NetworkState.check_invariants` under a
    network metric; in particular after skipped ticks), and the
    registered footprints cover the alive region, the monitored objects
-   and certificate witnesses, and every answer's witness ball.  The
+   and certificate witnesses, and the witness ball of every
+   monochromatic answer and of every point-alive B object.  The
    oracle side registers no footprints; the lease
    side skips footprint-touching ticks while a lease holds, so its
    state and footprints may lag by design and only its answers are
@@ -625,8 +626,11 @@ class _Lockstep:
         """The registered footprint must cover everything the scheduler
         relies on: the alive region (at cell granularity), the monitored
         object set, the query object, every certificate witness, and the
-        cells of every answer's witness ball ``B(a, dist(a, q))``
-        (recomputed here from the ball's bounding box)."""
+        cells of each witness ball ``B(o, dist(o, q))`` (recomputed here
+        from the ball's bounding box) — per answer of a monochromatic
+        query, and per B object of a bichromatic one that lies in an
+        alive cell and is point-alive in the region, found afresh from
+        the grid rather than from the verification's own record."""
         if sim.scheduler is None:
             return []
         fp = sim.scheduler.footprint(name)
@@ -650,9 +654,17 @@ class _Lockstep:
                 out.append(f"footprint misses certificate witness {wid!r}")
         grid = sim.grid
         q = state.qpos
-        for oid in state.answer:
-            if oid not in grid:
-                continue
+        if state.cat_b is None:
+            centers = [oid for oid in state.answer if oid in grid]
+        else:
+            alive = state.alive
+            centers = [
+                oid
+                for key in alive.alive_cells()
+                for oid in grid.objects_in_cell(key, state.cat_b)
+                if alive.point_alive(grid.position(oid))
+            ]
+        for oid in centers:
             pos = grid.position(oid)
             r = dist(pos, q)
             lo = grid.cell_key((pos.x - r, pos.y - r))
@@ -665,7 +677,7 @@ class _Lockstep:
             missing = ball - fp.cells
             if missing:
                 out.append(
-                    f"footprint misses answer object {oid!r}'s ball cells"
+                    f"footprint misses {oid!r}'s witness ball cells"
                     f" {sorted(missing)[:4]}"
                 )
         return out

@@ -124,6 +124,18 @@ class RoadNetwork:
         self._edge_lengths: Dict[Tuple[int, int], float] = {
             (u, v): length for u, v, length in self._sorted_edges
         }
+        # The same enumeration as columns, for :meth:`locate`'s
+        # vectorised scan: each edge's ``u`` end, direction ``v - u`` and
+        # squared length, computed as the per-edge float expressions.
+        ux = np.array([self._pos[u].x for u, _, _ in self._sorted_edges])
+        uy = np.array([self._pos[u].y for u, _, _ in self._sorted_edges])
+        ex = np.array([self._pos[v].x for _, v, _ in self._sorted_edges]) - ux
+        ey = np.array([self._pos[v].y for _, v, _ in self._sorted_edges]) - uy
+        len2 = ex * ex + ey * ey
+        degenerate = len2 == 0.0
+        self._edge_columns = (ux, uy, ex, ey, np.where(degenerate, 1.0, len2))
+        #: Mask of the zero-length edges (``None`` when there are none).
+        self._edge_degenerate = degenerate if degenerate.any() else None
         self._init_memos()
 
     def _init_memos(self) -> None:
@@ -249,28 +261,23 @@ class RoadNetwork:
         cached = self.snap_memo.get(key)
         if cached is not None:
             return cached
-        pos = self._pos
-        best: Optional[Tuple[int, int, float]] = None
-        best_d2 = math.inf
-        for u, v, length in self._sorted_edges:
-            pu = pos[u]
-            pv = pos[v]
-            ex = pv.x - pu.x
-            ey = pv.y - pu.y
-            len2 = ex * ex + ey * ey
-            if len2 == 0.0:
-                t = 0.0
-            else:
-                t = ((px - pu.x) * ex + (py - pu.y) * ey) / len2
-                t = min(max(t, 0.0), 1.0)
-            dx = px - (pu.x + t * ex)
-            dy = py - (pu.y + t * ey)
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_d2 = d2
-                best = (u, v, t * length)
-        assert best is not None  # a network always has at least one edge
-        located = (best[0], best[1], best[2], math.sqrt(best_d2))
+        # One pass over every edge at once.  Each element is computed by
+        # the per-edge scalar expression, term for term: the clamps keep
+        # ``t`` exactly as ``min(max(t, 0.0), 1.0)`` does (a ``-0.0``
+        # included), a zero-length edge projects to ``t = 0.0``, and
+        # ``argmin`` returns the first minimum, the strict ``<`` rule.
+        ux, uy, ex, ey, len2 = self._edge_columns
+        t = ((px - ux) * ex + (py - uy) * ey) / len2
+        t = np.where(0.0 > t, 0.0, t)
+        t = np.where(1.0 < t, 1.0, t)
+        if self._edge_degenerate is not None:
+            t = np.where(self._edge_degenerate, 0.0, t)
+        dx = px - (ux + t * ex)
+        dy = py - (uy + t * ey)
+        d2 = dx * dx + dy * dy
+        i = int(np.argmin(d2))
+        u, v, length = self._sorted_edges[i]
+        located = (u, v, float(t[i]) * length, math.sqrt(float(d2[i])))
         self.snap_memo.put(key, located)
         return located
 

@@ -156,6 +156,62 @@ class TestIncrementalStep:
             algo.incremental(state, qpos)
             check_against_brute(grid, state, qpos, query_id=qid)
 
+    def test_third_category_never_answers(self):
+        """Objects of neither category share the grid but take no part:
+        the incremental scan passes only B objects to verification."""
+        rng = random.Random(3)
+        grid = GridIndex(16)
+        for i in range(300):
+            grid.insert(i, (rng.random(), rng.random()), rng.choice("ABC"))
+        algo = BiIGERN(grid)
+        state, _ = algo.initial((0.5, 0.5))
+        for _ in range(20):
+            for oid in range(300):
+                if rng.random() < 0.1:
+                    grid.move(oid, (rng.random(), rng.random()))
+            algo.incremental(state, (0.5, 0.5))
+            check_against_brute(grid, state, (0.5, 0.5))
+            assert state.check_invariants(grid) == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_point_alive_b_objects_are_probed(self, k):
+        """Every B object point-alive in the final region was probed, so
+        the footprint covers its witness ball (``check_invariants``), and
+        the footprint holds those balls."""
+        from repro.core.state import _add_ball_cells
+        from repro.geometry.point import dist
+
+        rng = random.Random(40 + k)
+        grid = GridIndex(12)
+        for i in range(120):
+            grid.insert(i, (rng.random(), rng.random()), "A" if i % 4 == 0 else "B")
+        algo = BiIGERN(grid, query_id=0, k=k)
+        state, _ = algo.initial(grid.position(0))
+        for _ in range(25):
+            for oid in range(120):
+                if rng.random() < 0.2:
+                    p = grid.position(oid)
+                    grid.move(
+                        oid,
+                        (
+                            min(max(p.x + rng.gauss(0, 0.04), 0.0), 1.0),
+                            min(max(p.y + rng.gauss(0, 0.04), 0.0), 1.0),
+                        ),
+                    )
+            qpos = grid.position(0)
+            algo.incremental(state, qpos)
+            assert state.check_invariants(grid, k=k, query_id=0) == []
+            cells = state.footprint_cells(grid)
+            if cells is None:
+                continue
+            for key in state.alive.alive_cells():
+                for ob in grid.objects_in_cell(key, "B"):
+                    pos = grid.position(ob)
+                    if state.alive.point_alive(pos):
+                        ball = set()
+                        _add_ball_cells(grid, pos, dist(pos, qpos), ball, 10**6)
+                        assert ball <= cells
+
     def test_prune_modes_all_correct(self):
         for mode in ("guarded", "literal", "off"):
             rng = random.Random(77)

@@ -73,6 +73,21 @@ class TestRegionInvariants:
 
         assert cell_key_of(region.extent, n, p) in set(region.alive_cells())
 
+    @given(grid_sizes, ks, point, sites, point)
+    @settings(max_examples=120)
+    def test_point_alive_implies_cell_alive(self, n, k, q, others, p):
+        """The exact point test implies the slack-guarded cell test at
+        every k, so a point filter needs no cell check in front of it.
+        Points on the bisectors (the sites' midpoints with the query)
+        are the boundary cases."""
+        region = build(n, k, q, others)
+        from repro.grid.cell import cell_key_of
+
+        probes = [p] + [((q[0] + o[0]) / 2, (q[1] + o[1]) / 2) for o in others]
+        for probe in probes:
+            if region.point_alive(probe):
+                assert region.is_alive(cell_key_of(region.extent, n, probe))
+
     @given(grid_sizes, point, sites)
     @settings(max_examples=60)
     def test_adding_planes_never_enlarges(self, n, q, others):
