@@ -12,8 +12,8 @@ both scheduled:
 - **unbatched**: ``batch=False`` — the PR 2 execution path, every
   affected query probing the grid independently;
 - **batched**: ``batch=True`` — the shared tick context memoizing
-  witness probes, nearest searches, cell snapshots and half-plane
-  classifications across the co-evaluated queries.
+  witness probes and nearest searches across the co-evaluated queries
+  (each query still scans and classifies its own region).
 
 The test asserts bit-identical per-tick answers for every query, that
 the shared context actually served probes (hits > 0), a ≥1.5x tick

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="share grid work across co-evaluated queries (--no-batch for"
+        help="share verification probes across co-evaluated queries (--no-batch for"
         " the pre-batching execution path; answers are identical)",
     )
     _add_obs_flags(demo)
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="share grid work across co-evaluated queries (--no-batch for"
+        help="share verification probes across co-evaluated queries (--no-batch for"
         " the pre-batching execution path; answers are identical)",
     )
     _add_obs_flags(exp)

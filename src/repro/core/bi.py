@@ -47,8 +47,8 @@ class BiIGERN(RegionCore):
     only its *position* competes, as the query).  ``k`` extends the paper
     as in the monochromatic case: a B object is reported when fewer than
     ``k`` A objects are strictly closer to it than the query.  With a
-    ``shared_context`` the nearest-A absorption searches also run through
-    the tick-wide memos.
+    ``shared_context`` the verification's witness counts and nearest-A
+    absorption searches run through the tick-wide memos.
     """
 
     def __init__(
@@ -94,7 +94,6 @@ class BiIGERN(RegionCore):
 
     def incremental(self, state: RegionState, qpos: Iterable[float]) -> StepReport:
         """Maintain the answer for the current tick, updating ``state``."""
-        self._bind_context(state)
         cost = self.cost
         movement = self._refresh_moved(state, qpos)
         if movement:

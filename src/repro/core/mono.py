@@ -75,7 +75,6 @@ class MonoIGERN(RegionCore):
 
     def incremental(self, state: RegionState, qpos: Iterable[float]) -> StepReport:
         """Maintain the answer for the current tick, updating ``state``."""
-        self._bind_context(state)
         cost = self.cost
         movement = self._refresh_moved(state, qpos)
         if movement:

@@ -60,9 +60,11 @@ class RegionCore:
         a private one is created by default.
     shared_context:
         Optional per-tick :class:`repro.grid.context.SharedTickContext`
-        (normally bound by the batch executor).  Probes then run through
-        the tick-wide memos — answers stay bit-identical to the cold
-        path; only redundant searches are skipped.
+        (normally bound by the batch executor).  Verification probes
+        (witness counts, and the bichromatic nearest-A searches) then run
+        through the tick-wide memos — answers stay bit-identical to the
+        cold path; only redundant probes are skipped.  Region scans and
+        cell classification never go through it.
     metric:
         Must be Euclidean (or ``None``): bisector pruning is a Euclidean
         theorem, and non-Euclidean metrics go through
@@ -103,14 +105,12 @@ class RegionCore:
     def _new_state(self, qpos) -> RegionState:
         """A fresh state whose alive region is the whole grid."""
         qx, qy = qpos
-        state = RegionState(
+        return RegionState(
             qpos=Point(qx, qy),
             alive=AliveCellGrid(self.grid.size, self.grid.extent, self.k),
             cat_a=self.cat_a,
             cat_b=self.cat_b,
         )
-        self._bind_context(state)
-        return state
 
     def _report(
         self,
@@ -132,17 +132,6 @@ class RegionCore:
             tightened=tightened,
             pruned=pruned,
         )
-
-    def _bind_context(self, state: RegionState) -> None:
-        """Attach (or detach) the tick's shared context to this query's
-        alive grid and search, so half-plane classifications and region
-        scans route through the tick-wide memos."""
-        ctx = self.shared_context
-        if ctx is not None:
-            ctx.adopt_alive(state.alive)
-        else:
-            state.alive.shared_classify = None
-        self.search.shared_context = ctx
 
     def _prune(self, state: RegionState) -> int:
         """Clean the monitored set according to the configured policy."""

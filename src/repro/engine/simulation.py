@@ -110,7 +110,7 @@ class Simulator:
         measurements and as the oracle in the correctness suite.
     batch:
         When ``True`` (the default), the queries evaluated in one tick
-        share their grid-level work through a per-tick
+        share their witness and nearest probes through a per-tick
         :class:`~repro.grid.context.SharedTickContext`, grouped and
         ordered by footprint overlap (:class:`BatchExecutor`).  Answers
         are bit-identical to ``batch=False`` — memo reuse only skips

@@ -37,6 +37,7 @@ from repro.analysis.cost_model import (
     voronoi_cost,
 )
 from repro.analysis.stats import mean, running_sum
+from repro.engine.metrics import QueryLog
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.experiments.harness import ExperimentResult, scaled
 from repro.queries import (
@@ -600,10 +601,12 @@ def query_count(
     Every count replays the same workload through two simulators: one
     with shared-execution batching off (series ``IGERN`` and ``CRNN``)
     and one with it on (``IGERN-batched``, whose co-evaluated queries
-    share one :class:`repro.grid.context.SharedTickContext` per tick).
-    Each query is registered once per simulator, and ``batch`` is passed
-    explicitly so the CLI's ``--no-batch`` default cannot merge the two
-    IGERN series.
+    share witness and nearest probes through one
+    :class:`repro.grid.context.SharedTickContext` per tick).  The two
+    step tick by tick, the one that goes first alternating, so host
+    speed drift falls on both sides alike.  Each query is registered
+    once per simulator, and ``batch`` is passed explicitly so the CLI's
+    ``--no-batch`` default cannot merge the two IGERN series.
     """
     counts = [1, 2, 5, 10, 20]
     n_objects = scaled(4000, scale)
@@ -616,23 +619,29 @@ def query_count(
 
     totals: Dict[str, List[float]] = {"IGERN": [], "IGERN-batched": [], "CRNN": []}
     for count in counts:
-        for batch, series in runs:
-            sim = build_simulator(spec, batch=batch)
-            center = sim.grid.extent.center
-            ids = sorted(
-                sim.grid.objects(),
-                key=lambda oid: sim.grid.position(oid).distance_to(center),
-            )[:count]
+        sims = [build_simulator(spec, batch=batch) for batch, _ in runs]
+        grid = sims[0].grid
+        center = grid.extent.center
+        ids = sorted(
+            grid.objects(), key=lambda oid: grid.position(oid).distance_to(center)
+        )[:count]
+        for sim, (_, series) in zip(sims, runs):
             for oid in ids:
                 for name, query_cls in series.items():
                     sim.add_query(
                         f"{name}-{oid}",
                         query_cls(sim.grid, QueryPosition(sim.grid, query_id=oid)),
                     )
-            result = sim.run(n_ticks)
+        logs: Dict[str, QueryLog] = {}
+        for t in range(n_ticks + 1):
+            for sim in sims if t % 2 == 0 else reversed(sims):
+                metrics = sim.step() if t else sim.execute_queries()
+                for name, m in metrics.items():
+                    logs.setdefault(name, QueryLog(name=name)).append(m)
+        for _, series in runs:
             for name in series:
                 totals[name].append(
-                    sum(result[f"{name}-{oid}"].avg_incremental_time for oid in ids)
+                    sum(logs[f"{name}-{oid}"].avg_incremental_time for oid in ids)
                 )
 
     result = ExperimentResult(

@@ -167,6 +167,9 @@ ORACLE = PARTICIPANTS[0]
 #: The side whose leases the contract tracker audits and the serving
 #: cluster's lease decisions are compared with.
 LEASE = next(row for row in PARTICIPANTS if row.options.get("lease"))
+#: The side whose shared-context probe hits feed the ``sharing``
+#: coverage dimension.
+BATCH = next(row for row in PARTICIPANTS if row.kind == "batch")
 
 #: Baseline executors per (mode, scenario baseline name).
 _BASELINES = {
@@ -234,6 +237,10 @@ class ScenarioResult:
     #: ``certificates`` coverage dimension: ``used`` for a Euclidean
     #: scenario, ``network`` for a network-metric one.
     certified: int = 0
+    #: Witness and nearest probes the batch side answered from its shared
+    #: tick context (``Simulator.batch_probe_hits``) — feeds the fuzz
+    #: report's ``sharing`` coverage dimension.
+    probe_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -384,6 +391,7 @@ class _Lockstep:
                 for sim in self.sims.values()
                 for name in self.igern_names
             ),
+            probe_hits=self.sims[BATCH.side].batch_probe_hits,
         )
 
     def _oracle(self, qpos, query_id) -> set:
@@ -771,6 +779,7 @@ class FuzzReport:
         else:
             certificate_bucket = "used"
         self._cover("certificates", certificate_bucket)
+        self._cover("sharing", "shared" if result.probe_hits else "none")
         if not result.ok:
             self.failures.append(result)
 
@@ -789,6 +798,7 @@ class FuzzReport:
             "extra_queries",
             "leases",
             "certificates",
+            "sharing",
         ):
             bucket = self.coverage.get(dimension, {})
             parts = ", ".join(f"{k}={v}" for k, v in sorted(bucket.items()))

@@ -57,14 +57,6 @@ class AliveCellGrid:
     A cell is alive while fewer than ``k`` half-planes fully cover it.
     """
 
-    #: Optional shared classification hook ``(alive, hp, key) -> bool``,
-    #: bound by a per-tick :class:`~repro.grid.context.SharedTickContext`
-    #: so co-evaluated queries share half-plane/cell coverage decisions.
-    #: The hook memoizes :meth:`covers`, so classifications are
-    #: bit-identical to the inline path; ``None`` (the default) keeps the
-    #: original private evaluation.
-    shared_classify = None
-
     @staticmethod
     def require_euclidean(metric) -> None:
         """Refuse to drive bisector pruning with a non-Euclidean metric.
@@ -209,13 +201,10 @@ class AliveCellGrid:
     def covers(self, hp: HalfPlane, key: CellKey) -> bool:
         """Whether ``hp`` fully covers cell ``key`` (the corner test).
 
-        The exact decision :meth:`_compute_alive` makes per half-plane,
-        exposed so the shared tick context can memoize it across queries;
-        both route through the same adaptive predicate, so hook and
-        inline paths cannot disagree.  The filter fast path of
-        :func:`predicates.halfplane_below` is replicated inline (same
-        arithmetic, so same decisions) because this runs once per
-        (half-plane, cell) pair every tick.
+        The decision :meth:`_compute_alive` makes per half-plane, for one
+        pair (:meth:`coverage`, the tests).  Both route through the same
+        adaptive predicate after the same inline filter fast path of
+        :func:`predicates.halfplane_below`, so they cannot disagree.
         """
         xmin = self._xmin + key[0] * self._cw
         ymin = self._ymin + key[1] * self._ch
@@ -244,14 +233,6 @@ class AliveCellGrid:
     def _compute_alive(self, key: CellKey) -> bool:
         needed = self.k
         covered = 0
-        classify = self.shared_classify
-        if classify is not None:
-            for hp in self._halfplanes:
-                if classify(self, hp, key):
-                    covered += 1
-                    if covered >= needed:
-                        return False
-            return True
         xmin = self._xmin + key[0] * self._cw
         ymin = self._ymin + key[1] * self._ch
         xmax = xmin + self._cw
@@ -372,8 +353,7 @@ class AliveCellGrid:
                 # would otherwise re-evaluate this guard on every call.
                 self._prefilled = True
                 if (
-                    self.shared_classify is None
-                    and self._halfplanes
+                    self._halfplanes
                     and (ix1 - ix0 + 1) * (iy1 - iy0 + 1) >= _PREFILL_MIN_CELLS
                 ):
                     self._prefill_span(ix0, ix1, iy0, iy1)
@@ -462,8 +442,7 @@ class AliveCellGrid:
         elementwise arithmetic replicates the scalar corner test term for
         term (same association), so even the filter decisions match.
         Results land in the per-cell memo, which :meth:`is_alive` then
-        serves; gated off while a shared classification hook is bound so
-        cross-query coverage sharing keeps its own memo.
+        serves.
         """
         nx = ix1 - ix0 + 1
         ny = iy1 - iy0 + 1

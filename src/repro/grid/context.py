@@ -1,13 +1,18 @@
 """Per-tick shared-execution context for co-evaluated queries.
 
 When many continuous queries are evaluated against the *same* grid state
-in the *same* tick, their work decomposes into grid-level primitives that
-repeat across queries: enumerating the objects of a cell, probing how many
-objects lie strictly within a candidate's verification threshold, finding
-the nearest object of a category around a point, and classifying a cell
-against a bisector half-plane.  :class:`SharedTickContext` memoizes those
-primitives for the duration of one tick, so that a batch of overlapping
-queries pays for each primitive once instead of once per query.
+in the *same* tick, their verification work decomposes into two probe
+primitives that repeat across queries: counting the objects strictly
+within a candidate's verification threshold, and finding the nearest
+object of a category around a point.  :class:`SharedTickContext`
+memoizes those two for the duration of one tick, so that a batch of
+overlapping queries pays for each probe once instead of once per query.
+
+Region maintenance is not shared: each query scans and classifies only
+its own bounded region, cut by its own bisectors (Algorithms 2 and 4);
+a per-tick memo of cell scans or of (half-plane, cell) coverage tests
+costs about as much per hit as the work it replaces (see
+``docs/PERFORMANCE.md``).
 
 Soundness rests on two properties:
 
@@ -51,14 +56,11 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.geometry import predicates
-from repro.geometry.halfplane import HalfPlane
 from repro.geometry.point import Point
-from repro.grid.alive import AliveCellGrid
-from repro.grid.cell import CellKey
 from repro.grid.index import Category, GridIndex, ObjectId
 
 #: Memo kinds, for per-kind hit/miss introspection.
-KINDS = ("witness", "nearest", "cells", "classify")
+KINDS = ("witness", "nearest")
 
 
 class _WitnessEntry:
@@ -91,8 +93,6 @@ class SharedTickContext:
         self._version: Tuple[int, int] = (-1, -1)
         self._witness: Dict[tuple, _WitnessEntry] = {}
         self._nearest: Dict[tuple, tuple] = {}
-        self._cells: Dict[Tuple[CellKey, Optional[Category]], tuple] = {}
-        self._classify: Dict[tuple, bool] = {}
         #: Aggregate probe accounting (all kinds).
         self.hits = 0
         self.misses = 0
@@ -126,8 +126,6 @@ class SharedTickContext:
     def _clear(self) -> None:
         self._witness.clear()
         self._nearest.clear()
-        self._cells.clear()
-        self._classify.clear()
         self.invalidations += 1
 
     def _ensure_fresh(self) -> None:
@@ -321,75 +319,6 @@ class SharedTickContext:
         result = search.nearest(center, exclude=signature, category=category)
         self._nearest[key] = (center, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Cell snapshots (region scans)
-    # ------------------------------------------------------------------
-
-    def cell_objects(
-        self, key: CellKey, category: Optional[Category]
-    ) -> Tuple[Tuple[ObjectId, Point], ...]:
-        """The objects of one cell with their positions, snapshotted once
-        per tick.  The snapshot preserves the grid's own iteration order,
-        so a scan through it examines objects in exactly the order the
-        cold enumeration would — distance ties downstream break
-        identically."""
-        self._ensure_fresh()
-        memo_key = (key, category)
-        cached = self._cells.get(memo_key)
-        if cached is not None:
-            self._account("cells", hit=True)
-            return cached
-        self._account("cells", hit=False)
-        grid = self.grid
-        positions = grid._positions
-        snapshot = tuple(
-            (oid, positions[oid]) for oid in grid.objects_in_cell(key, category)
-        )
-        self._cells[memo_key] = snapshot
-        return snapshot
-
-    # ------------------------------------------------------------------
-    # Half-plane cell classification (region maintenance)
-    # ------------------------------------------------------------------
-
-    def adopt_alive(self, alive: AliveCellGrid) -> None:
-        """Route an alive-cell grid's half-plane coverage tests through
-        the shared classification memo.
-
-        Whether a half-plane fully covers a cell depends only on the
-        half-plane and the cell rectangle — not on ``k`` or on which query
-        owns the region — so all alive grids over the same geometry share
-        one memo.  Grids with a different size or extent (none exist
-        in-tree) are left on their private inline path.
-        """
-        grid = self.grid
-        if alive.size == grid.size and alive.extent == grid.extent:
-            alive.shared_classify = self.cell_covered
-        else:
-            alive.shared_classify = None
-
-    def cell_covered(self, alive: AliveCellGrid, hp: HalfPlane, key: CellKey) -> bool:
-        """Memoized :meth:`AliveCellGrid.covers`: does ``hp`` fully cover
-        cell ``key``?  Cold evaluations delegate to the alive grid itself,
-        so the decision is bit-identical to the inline path.
-
-        Keyed by the half-plane's :meth:`~HalfPlane.memo_key` rather than
-        the float coefficient triple: two half-planes with identical
-        rounded floats but different exact coefficients are different
-        planes with possibly different coverage decisions, and must not
-        share a memo slot (the token keys bisectors by their generating
-        points, which is both exact and cheap)."""
-        src = hp._src
-        memo_key = (("s",) + src, key) if src is not None else (hp.memo_key(), key)
-        cached = self._classify.get(memo_key)
-        if cached is not None:
-            self._account("classify", hit=True)
-            return cached
-        self._account("classify", hit=False)
-        covered = alive.covers(hp, key)
-        self._classify[memo_key] = covered
-        return covered
 
     # ------------------------------------------------------------------
     # Introspection

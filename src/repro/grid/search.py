@@ -192,12 +192,6 @@ class GridSearch:
         #: The ids the last :meth:`network_witness_count` call counted,
         #: in the order it met them: a non-answer's witness certificate.
         self.last_witnesses: List[ObjectId] = []
-        # Per-tick shared-execution context (see repro.grid.context).  When
-        # bound by the batch executor, region scans read memoized per-cell
-        # snapshots instead of re-enumerating the live cell directory; when
-        # None (the default), every path below is byte-for-byte the
-        # pre-batching behavior.
-        self.shared_context = None
         # The columnar store, whose cells the kernels scan as vectorized
         # slices; None routes every kernel through the original scalar
         # loops (the mapping backend).
@@ -1039,7 +1033,9 @@ class GridSearch:
         The enumeration reads exactly ``alive.alive_cells()`` — never the
         occupied-cell directory — so the set of cells an incremental step
         can observe through this scan is precisely the footprint the tick
-        scheduler monitors (see ``docs/PERFORMANCE.md``).
+        scheduler monitors (see ``docs/PERFORMANCE.md``).  Each query
+        scans its own region, batched or not, reading the store's cells
+        live: no scan is shared across the queries of a tick.
         """
         qx, qy = q
         stats = self.stats
@@ -1047,23 +1043,7 @@ class GridSearch:
         grid = self.grid
         excluded = _as_excluded(exclude)
         out: List[Tuple[float, ObjectId]] = []
-        ctx = self.shared_context
-        if ctx is not None:
-            # Shared path: read the context's per-cell snapshots (built
-            # once per tick, in the grid's own iteration order) so cells
-            # scanned by several co-evaluated queries are enumerated once.
-            # Appends happen in the same (cell, object) order as the cold
-            # loop below, so the stable sort breaks distance ties
-            # identically.
-            for key in alive.alive_cells():
-                for oid, p in ctx.cell_objects(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    dx = p.x - qx
-                    dy = p.y - qy
-                    out.append((dx * dx + dy * dy, oid))
-        elif self._col is not None:
+        if self._col is not None:
             col = self._col
             oid_col = col.oids
             xs = col.xs

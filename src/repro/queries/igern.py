@@ -56,7 +56,6 @@ class IGERNQuery(ContinuousQuery):
 
     def bind_shared_context(self, context) -> None:
         self._algo.shared_context = context
-        self.search.shared_context = context
 
     def bind_cost_recorder(self, cost) -> None:
         self._algo.cost = cost

@@ -3,9 +3,11 @@
 from repro.engine.batch import BatchExecutor
 from repro.engine.simulation import Simulator
 from repro.engine.workload import WorkloadSpec, build_simulator, set_default_batch
+from repro.grid.alive import AliveCellGrid
 from repro.grid.index import GridIndex
+from repro.grid.search import GridSearch
 from repro.motion.uniform import RandomWalkGenerator
-from repro.queries import IGERNMonoQuery, QueryPosition
+from repro.queries import IGERNBiQuery, IGERNMonoQuery, QueryPosition
 from repro.queries.base import QueryFootprint
 
 
@@ -67,8 +69,11 @@ class TestTickAccounting:
         grid.insert(0, (0.5, 0.5), "A")
         ex = BatchExecutor(grid)
         ex.begin_tick()
-        ex.context.cell_objects((4, 4), None)
-        ex.context.cell_objects((4, 4), None)
+        search = GridSearch(grid)
+        center = grid.position(0)
+        sig = frozenset({0})
+        for _ in range(2):
+            ex.context.witness_count(search, 0, center, 0.01, sig, None, 1)
         assert ex.finish_tick() == (1, 1)
         assert ex.sharing_ratio == 0.5
         ex.begin_tick()
@@ -126,3 +131,61 @@ class TestSimulatorFlag:
             set_default_batch(True)
         assert build_simulator(spec).batch is not None
         assert build_simulator(spec, batch=False).batch is None
+
+
+class TestRegionMaintenanceUnshared:
+    """Batching shares verification probes only: each query classifies
+    its own region's cells, through the vectorised span pass, whether or
+    not a shared tick context is bound."""
+
+    def test_batched_and_unbatched_classify_alike(self, monkeypatch):
+        calls = {"compute": 0, "prefill": 0}
+        compute = AliveCellGrid._compute_alive
+        prefill = AliveCellGrid._prefill_span
+
+        def counting_compute(self, key):
+            calls["compute"] += 1
+            return compute(self, key)
+
+        def counting_prefill(self, *span):
+            calls["prefill"] += 1
+            return prefill(self, *span)
+
+        monkeypatch.setattr(AliveCellGrid, "_compute_alive", counting_compute)
+        monkeypatch.setattr(AliveCellGrid, "_prefill_span", counting_prefill)
+        # Sparse A objects on a fine grid: the regions span more than
+        # _PREFILL_MIN_CELLS cells.  Bichromatic footprints do not depend
+        # on the shared context, so both sides dispatch alike.
+        spec = WorkloadSpec(
+            n_objects=300,
+            grid_size=32,
+            seed=3,
+            network="walk",
+            bichromatic=True,
+            a_fraction=0.2,
+        )
+        sims = []
+        for batch in (True, False):
+            sim = build_simulator(spec, batch=batch)
+            for i, pt in enumerate([(0.45, 0.5), (0.5, 0.5), (0.55, 0.52)]):
+                sim.add_query(
+                    f"q{i}",
+                    IGERNBiQuery(sim.grid, QueryPosition(sim.grid, fixed=pt)),
+                )
+            sims.append(sim)
+        assert sims[0].batch is not None and sims[1].batch is None
+        prefills = 0
+        for tick in range(9):
+            sides = []
+            for sim in sims:
+                before = dict(calls)
+                metrics = sim.execute_queries() if tick == 0 else sim.step()
+                sides.append(
+                    (
+                        {kind: calls[kind] - before[kind] for kind in calls},
+                        {n: (m.answer, m.skipped) for n, m in metrics.items()},
+                    )
+                )
+            assert sides[0] == sides[1], f"tick {tick}"
+            prefills += sides[1][0]["prefill"]
+        assert prefills > 0

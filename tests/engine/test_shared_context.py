@@ -1,8 +1,8 @@
 """Cache soundness of the per-tick shared-execution context.
 
-The :class:`~repro.grid.context.SharedTickContext` memoizes grid-level
-primitives (witness probes, nearest searches, cell snapshots, half-plane
-cell classification) across the queries of one tick.  Its contract is
+The :class:`~repro.grid.context.SharedTickContext` memoizes the two
+verification probes (witness counts and nearest searches) across the
+queries of one tick.  Its contract is
 absolute: a memoized read returns exactly what a cold computation on the
 current grid state would, no matter how probes, repeats and grid
 mutations interleave.  The Hypothesis suite here drives random
@@ -12,16 +12,12 @@ coordinates — must invalidate the context) at both the context level and
 end-to-end through a batched simulator.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.simulation import Simulator
 from repro.geometry import predicates
-from repro.geometry.bisector import bisector_halfplane
 from repro.geometry.point import Point, dist_sq
-from repro.grid.alive import AliveCellGrid
 from repro.grid.context import SharedTickContext
 from repro.grid.index import GridIndex
 from repro.grid.search import GridSearch
@@ -88,9 +84,7 @@ class TestMemoEqualsCold:
         next_id = n
         for step in range(data.draw(st.integers(8, 24), label="n_steps")):
             op = data.draw(
-                st.sampled_from(
-                    ["witness", "witness", "nearest", "cells", "mutate"]
-                ),
+                st.sampled_from(["witness", "witness", "nearest", "mutate"]),
                 label=f"op{step}",
             )
             if op == "mutate":
@@ -130,38 +124,9 @@ class TestMemoEqualsCold:
                     center, t2, exclude=sig, category=category, stop_at=k
                 )
                 assert got == len(rows)
-            elif op == "nearest":
+            else:
                 got = ctx.nearest_excluding(search, oid, center, sig, category)
                 assert got == cold.nearest(center, exclude=sig, category=category)
-            else:
-                key = (
-                    data.draw(st.integers(0, 5), label=f"cx{step}"),
-                    data.draw(st.integers(0, 5), label=f"cy{step}"),
-                )
-                got = ctx.cell_objects(key, category)
-                expected = tuple(
-                    (o, grid.position(o))
-                    for o in grid.objects_in_cell(key, category)
-                )
-                assert got == expected
-
-    @given(p=point, q=point, cx=st.integers(0, 5), cy=st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_classification_memo_matches_inline(self, p, q, cx, cy):
-        if p == q:
-            return
-        grid = GridIndex(6)
-        alive = AliveCellGrid(grid.size, grid.extent)
-        ctx = SharedTickContext(grid)
-        ctx.begin_tick()
-        ctx.adopt_alive(alive)
-        assert alive.shared_classify == ctx.cell_covered
-        hp = bisector_halfplane(p, q)
-        cold = alive.covers(hp, (cx, cy))
-        assert ctx.cell_covered(alive, hp, (cx, cy)) == cold
-        # Second read is a memo hit and still the same classification.
-        assert ctx.cell_covered(alive, hp, (cx, cy)) == cold
-        assert ctx.hits_by_kind["classify"] == 1
 
 
 class TestWitnessCertificate:
