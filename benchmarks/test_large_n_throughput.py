@@ -11,10 +11,11 @@ layer the columnar rewrite targets:
 - ``GridIndex.apply_updates`` absorbs a 2k-object movement batch (the
   columnar side takes the vectorized bulk-move path, the mapping side
   the per-object dict updates);
-- per query point, the three full-scan kernels every executor leans on:
-  ``count_closer_than`` (no ``stop_at`` — the whole-slice count),
-  ``witnesses_closer_than`` (materializing the in-range witnesses) and
-  ``nearest`` (best-first over whole-cell slices).
+- per query point, three full-scan probes of the kernels every executor
+  leans on: ``count_closer_than`` (no ``stop_at`` — the whole-slice
+  count), ``count_closer_than`` again with a ``witnesses`` list
+  (materializing the in-range witness rows) and ``nearest`` (best-first
+  over whole-cell slices).
 
 Early-exit probes (``count_closer_than(stop_at=...)``) are deliberately
 absent: they walk rows one by one on both backends (see
@@ -120,8 +121,9 @@ def _run(workload, store: str):
     for moves in script:
         grid.apply_updates(moves, reuse_scratch=True)
         for q in queries:
-            count = search.count_closer_than(q, threshold_sq=r2)
-            witnesses = search.witnesses_closer_than(q, r2)
+            count = search.count_closer_than(q, r2)
+            witnesses = []
+            search.count_closer_than(q, r2, witnesses=witnesses)
             nn = search.nearest(q)
             results.append((count, witnesses, nn))
     elapsed = time.perf_counter() - start

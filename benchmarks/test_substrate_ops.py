@@ -64,7 +64,7 @@ def test_verification_probe(benchmark, loaded_grid):
 
     def run_probes():
         for center, t2 in probes:
-            search.count_closer_than(center, threshold_sq=t2, stop_at=1)
+            search.count_closer_than(center, t2, stop_at=1)
 
     benchmark(run_probes)
 

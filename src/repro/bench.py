@@ -10,9 +10,11 @@ a gate:
   baseline files — the thing to do when a PR legitimately changes the
   performance envelope;
 - ``igern bench check`` executes the same workloads into a scratch
-  directory, compares each metric against the committed baseline under
-  per-metric tolerances, and exits non-zero on regression — the CI
-  ``bench-regress`` job.
+  directory (or ``--results-dir``), compares each metric against the
+  committed baseline under per-metric tolerances, and exits non-zero on
+  regression — the CI ``bench-regress`` job.  A benchmark that fails its
+  own assertions is one regression row; the others are still measured
+  and compared.
 
 Tolerances are deliberately metric-specific.  Wall-clock ratios
 (``speedup``) are compared *relatively* with generous headroom because CI
@@ -370,34 +372,37 @@ def check_benchmarks(
     baseline_dir: Path,
     results_dir: Path,
     quick: bool = False,
+    failures: Optional[Dict[str, str]] = None,
 ) -> List[dict]:
     """Compare every benchmark's result in ``results_dir`` against the
-    baselines in ``baseline_dir``; missing files report as regressions."""
+    baselines in ``baseline_dir``; missing files report as regressions,
+    and so does each benchmark named in ``failures`` (name -> what
+    stopped its run), which is not compared."""
     rows: List[dict] = []
     for bench in benches:
         baseline_path = Path(baseline_dir) / bench.result_file
         result_path = Path(results_dir) / bench.result_file
-        missing = [
-            (label, p)
-            for label, p in (
-                ("baseline", baseline_path),
-                ("result", result_path),
+        if failures and bench.name in failures:
+            problems = [failures[bench.name]]
+        else:
+            problems = [
+                f"missing {label} file {p}"
+                for label, p in (("baseline", baseline_path), ("result", result_path))
+                if not p.exists()
+            ]
+        if problems:
+            rows.extend(
+                {
+                    "benchmark": bench.name,
+                    "metric": "-",
+                    "baseline": None,
+                    "current": None,
+                    "bound": None,
+                    "status": REGRESSION,
+                    "detail": detail,
+                }
+                for detail in problems
             )
-            if not p.exists()
-        ]
-        if missing:
-            for label, p in missing:
-                rows.append(
-                    {
-                        "benchmark": bench.name,
-                        "metric": "-",
-                        "baseline": None,
-                        "current": None,
-                        "bound": None,
-                        "status": REGRESSION,
-                        "detail": f"missing {label} file {p}",
-                    }
-                )
             continue
         rows.extend(
             compare(

@@ -189,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="DIR",
-        help="where current results live (default: a temp directory)",
+        help="measure into DIR, or with --no-run compare the results in it"
+        " (default: a temp directory)",
     )
     bench_check.add_argument(
         "--baseline-dir",
@@ -746,24 +747,27 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     if args.bench_command == "check":
         baseline_dir = args.baseline_dir or bench_mod.REPO_ROOT
+        results_dir = args.results_dir
+        failures = {}
         if args.no_run:
-            if args.results_dir is None:
+            if results_dir is None:
                 raise SystemExit("bench check --no-run needs --results-dir")
-            results_dir = args.results_dir
         else:
-            import tempfile
+            if results_dir is None:
+                import tempfile
 
-            scratch = tempfile.TemporaryDirectory(prefix="igern-bench-")
-            results_dir = Path(scratch.name)
+                scratch = tempfile.TemporaryDirectory(prefix="igern-bench-")
+                results_dir = Path(scratch.name)
             for bench in benches:
                 print(f"measuring benchmark {bench.name} ...", flush=True)
                 try:
                     bench_mod.run_benchmark(bench, results_dir, quick=args.quick)
                 except RuntimeError as exc:
+                    # Keep measuring the rest; the failure is a regression row.
                     print(f"FAIL {bench.name}: {exc}", file=sys.stderr)
-                    return 1
+                    failures[bench.name] = str(exc).partition("\n")[0]
         rows = bench_mod.check_benchmarks(
-            benches, baseline_dir, results_dir, quick=args.quick
+            benches, baseline_dir, results_dir, quick=args.quick, failures=failures
         )
         print(bench_mod.format_rows(rows))
         if args.report is not None:

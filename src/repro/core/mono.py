@@ -146,15 +146,17 @@ class MonoIGERN(RegionCore):
                 # row-by-row early-exit regime (most verifications settle
                 # within a few rows); without it the kernel would scan
                 # whole cell slices.
-                rows = search.witnesses_closer_than(
+                rows = []
+                count = search.count_closer_than(
                     pos,
                     dq2,
                     exclude=exclude_base | {oid},
                     stop_at=k,
                     kind=SearchKind.UNCONSTRAINED,
                     threshold_point=q,
+                    witnesses=rows,
                 )
-                if len(rows) < k:
+                if count < k:
                     answer.add(oid)
                     continue
                 witnesses = tuple(wid for wid, _ in rows)

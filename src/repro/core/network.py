@@ -13,7 +13,8 @@ refine:
   Euclidean ball is a sound superset — see
   ``GridSearch.network_witness_count``), refined with the exact shared
   float comparison, strict ``<`` per the paper's tie semantics
-  (Section 2: an *equidistant* witness does NOT disqualify);
+  (Section 2: an *equidistant* witness does NOT disqualify); the probe
+  hands back the ids it counted, a non-answer's witness certificate;
 - a candidate answers iff fewer than ``k`` witnesses are strictly
   closer to it than the query is.
 
@@ -352,6 +353,7 @@ class NetworkCore:
                     continue
             located = metric.locate(pos)
             r = metric.distance_located(located, loc_q)
+            found: List[ObjectId] = []
             witnesses = search.network_witness_count(
                 metric,
                 pos,
@@ -359,12 +361,13 @@ class NetworkCore:
                 exclude=(oid, *exclude_query),
                 category=self.cat_a,
                 stop_at=k,
+                witnesses=found,
             )
             candidates[oid] = NetworkCandidate(pos, located, r)
             if witnesses < k:
                 answer.add(oid)
             else:
-                certificates[oid] = Certificate(pos, q, tuple(search.last_witnesses))
+                certificates[oid] = Certificate(pos, q, tuple(found))
         state.qpos = q
         state.monitored = population
         state.candidates = candidates

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.engine.metrics import QueryLog, SimulationResult, TickMetrics
+from repro.engine.metrics import SimulationResult, TickMetrics
 
 
 def tick_record(query: str, metrics: TickMetrics) -> Dict:

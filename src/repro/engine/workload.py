@@ -9,7 +9,7 @@ objects drawn from the moving population itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.engine.simulation import Simulator

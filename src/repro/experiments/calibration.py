@@ -10,7 +10,7 @@ cell change), which is how a deployment would size its grid.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.queries import IGERNMonoQuery, QueryPosition

@@ -36,13 +36,11 @@ from repro.analysis.cost_model import (
     tpl_cost,
     voronoi_cost,
 )
-from repro.analysis.stats import mean, running_sum
+from repro.analysis.stats import mean
 from repro.engine.metrics import QueryLog
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.experiments.harness import ExperimentResult, scaled
 from repro.queries import (
-    BruteForceBiQuery,
-    BruteForceMonoQuery,
     CRNNQuery,
     IGERNBiQuery,
     IGERNMonoQuery,

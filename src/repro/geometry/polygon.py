@@ -18,7 +18,7 @@ the data space.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.geometry import predicates
 from repro.geometry.halfplane import HalfPlane

@@ -185,11 +185,11 @@ class SharedTickContext:
         primitive of Algorithms 1-4, shared across the tick's queries.
 
         Cold probes run through the *caller's* ``search`` (so per-query
-        operation counters stay attributable) via
-        :meth:`~repro.grid.search.GridSearch.witnesses_closer_than`, whose
-        traversal, threshold semantics and short-circuiting are identical
-        to the uncached ``count_closer_than`` path; memo reuse returns the
-        same value the cold probe would compute on this grid state.
+        operation counters stay attributable) as the uncached
+        :meth:`~repro.grid.search.GridSearch.count_closer_than` call,
+        with a ``witnesses`` list collecting the rows to bank; memo reuse
+        returns the same value the cold probe would compute on this grid
+        state.
 
         ``threshold_ref`` names the point defining the threshold (the
         query position); with it cold probes run in exact-predicate mode
@@ -244,23 +244,25 @@ class SharedTickContext:
             entry = _WitnessEntry(center)
             self._witness[key] = entry
         self._account("witness", hit=False)
-        rows = search.witnesses_closer_than(
+        rows: List[Tuple[ObjectId, float]] = []
+        count = search.count_closer_than(
             center,
             threshold_sq,
             exclude=signature,
             category=category,
             stop_at=k,
             threshold_point=threshold_ref,
+            witnesses=rows,
         )
         for wid, d2 in rows:
             entry.known[wid] = d2
-        if len(rows) < k and threshold_sq > entry.complete_t2:
+        if count < k and threshold_sq > entry.complete_t2:
             # The probe ran dry before its cutoff: it enumerated every
             # witness below the threshold, so ``known`` is now complete
             # up to it.
             entry.complete_t2 = threshold_sq
             entry.complete_ref = threshold_ref
-        return len(rows)
+        return count
 
     def witness_certificate(
         self,

@@ -23,8 +23,8 @@ convex region containing the query in this codebase, whose grid cover is
 the search.
 
 Over the columnar store (the :class:`~repro.grid.index.GridIndex`
-default) the per-cell object loops of the hot kernels — the closer-than
-family, :meth:`GridSearch.nearest` and the region scan — run *sliced*:
+default) the per-cell object loops of the hot kernels — the witness
+probe, :meth:`GridSearch.nearest` and the region scan — run *sliced*:
 one fancy-indexed gather of the cell's coordinate columns, one vectorized
 squared-distance pass, the certified float filter applied to the whole
 slice at once, and only the uncertain rows routed to the exact
@@ -91,8 +91,9 @@ class SearchStats:
     calls: List[int] = field(default_factory=_per_kind)
     cells_visited: List[int] = field(default_factory=_per_kind)
     objects_examined: List[int] = field(default_factory=_per_kind)
-    #: Closer-than style probes (count / witnesses / first) — the Phase II
-    #: verification workload, attributed per query by the cost ledger.
+    #: Witness probes (``count_closer_than`` and
+    #: ``network_witness_count``) — the Phase II verification workload,
+    #: attributed per query by the cost ledger.
     witness_probes: int = 0
     #: Candidates verified without a probe: monochromatic or network
     #: non-answers whose standing witness certificate held, and network
@@ -189,9 +190,6 @@ class GridSearch:
         # the Euclidean lower bound) and never touch the bisector-based
         # kernels.
         self.metric = metric
-        #: The ids the last :meth:`network_witness_count` call counted,
-        #: in the order it met them: a non-answer's witness certificate.
-        self.last_witnesses: List[ObjectId] = []
         # The columnar store, whose cells the kernels scan as vectorized
         # slices; None routes every kernel through the original scalar
         # loops (the mapping backend).
@@ -377,92 +375,39 @@ class GridSearch:
             return None
         return (best_id, math.sqrt(best_d2))
 
-    def k_nearest(
-        self,
-        q: Iterable[float],
-        k: int,
-        exclude: Iterable[ObjectId] = (),
-        category: Optional[Category] = None,
-        kind: SearchKind = SearchKind.UNCONSTRAINED,
-    ) -> List[Tuple[ObjectId, float]]:
-        """The ``k`` objects nearest to ``q``, closest first."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        qx, qy = q
-        excluded = _as_excluded(exclude)
-        grid = self.grid
-        n = grid.size
-        extent = grid.extent
-        stats = self.stats
-        stats.calls[kind] += 1
-
-        # Max-heap of the k best found so far, keyed by negated distance.
-        best: List[Tuple[float, ObjectId]] = []
-        bound = math.inf
-        start = cell_key_of(extent, n, (qx, qy))
-        heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, qx, qy), start)]
-        seen: Set[CellKey] = {start}
-        positions = grid._positions
-
-        while heap:
-            d2, key = heapq.heappop(heap)
-            if d2 > bound:
-                break
-            stats.cells_visited[kind] += 1
-            for oid in grid.objects_in_cell(key, category):
-                if oid in excluded:
-                    continue
-                stats.objects_examined[kind] += 1
-                p = positions[oid]
-                dx = p.x - qx
-                dy = p.y - qy
-                od2 = dx * dx + dy * dy
-                if od2 < bound or len(best) < k:
-                    heapq.heappush(best, (-od2, oid))
-                    if len(best) > k:
-                        heapq.heappop(best)
-                    if len(best) == k:
-                        bound = -best[0][0]
-            ix, iy = key
-            for sx, sy in _NEIGHBOR_STEPS:
-                nkey = (ix + sx, iy + sy)
-                if 0 <= nkey[0] < n and 0 <= nkey[1] < n and nkey not in seen:
-                    seen.add(nkey)
-                    nd2 = self._cell_d2(nkey, qx, qy)
-                    if nd2 <= bound:
-                        heapq.heappush(heap, (nd2, nkey))
-
-        ordered = sorted(((-negd2, oid) for negd2, oid in best))
-        return [(oid, math.sqrt(d2)) for d2, oid in ordered]
-
     def count_closer_than(
         self,
         center: Iterable[float],
-        threshold: Optional[float] = None,
+        threshold_sq: float,
         exclude: Iterable[ObjectId] = (),
         category: Optional[Category] = None,
         stop_at: Optional[int] = None,
         kind: SearchKind = SearchKind.UNCONSTRAINED,
-        threshold_sq: Optional[float] = None,
         threshold_point: Optional[PointLike] = None,
+        witnesses: Optional[List[Tuple[ObjectId, float]]] = None,
     ) -> int:
-        """How many objects lie *strictly* closer than ``threshold``.
+        """How many objects lie *strictly* closer than ``sqrt(threshold_sq)``.
 
         This is the verification primitive: a candidate ``o`` is a reverse
         nearest neighbor of ``q`` iff no object (RkNN: fewer than ``k``
         objects) is strictly closer to ``o`` than ``q`` is.  With
-        ``stop_at`` the scan short-circuits once enough witnesses exist.
+        ``stop_at`` the scan short-circuits once that many witnesses
+        exist.  When a list is passed as ``witnesses``, an ``(oid,
+        squared_distance)`` row is appended for every object counted, in
+        the order the walk met them: the ids behind a witness certificate
+        and the rows the shared tick context banks.
 
-        Exactly one of ``threshold`` / ``threshold_sq`` must be given.
-        Callers comparing against a distance they computed as a *squared*
-        value should pass ``threshold_sq`` — squaring a rounded distance
-        can differ from the directly computed squared distance by an ulp,
-        which is enough to miscount an exactly equidistant witness.
+        The threshold is squared: squaring a rounded distance can differ
+        from the directly computed squared distance by an ulp, which is
+        enough to miscount an exactly equidistant witness.  Without
+        ``threshold_point`` the test is the float comparison ``d2 <
+        threshold_sq``, which cannot separate distances whose squares
+        underflow (a subnormal threshold squares to 0.0).
 
-        ``threshold_point`` (requires ``threshold_sq``) names the point
-        whose distance from ``center`` *defines* the threshold — for
-        verification, the query position.  With it the per-object test is
-        the exact adaptive predicate ``dist(center, obj) < dist(center,
+        ``threshold_point`` names the point whose distance from ``center``
+        *defines* the threshold — for verification, the query position;
+        every algorithm passes it.  With it the per-object test is the
+        exact adaptive predicate ``dist(center, obj) < dist(center,
         threshold_point)``: float squared distances settle clear cases
         and near-ties fall back to rational arithmetic, so an exactly
         equidistant object is never miscounted no matter the coordinate
@@ -480,25 +425,12 @@ class GridSearch:
         stats.calls[kind] += 1
         stats.witness_probes += 1
 
-        if (threshold is None) == (threshold_sq is None):
-            raise ValueError("provide exactly one of threshold or threshold_sq")
-        if threshold_point is not None and threshold_sq is None:
-            raise ValueError("threshold_point requires threshold_sq")
-        t2 = threshold * threshold if threshold is not None else threshold_sq
+        t2 = threshold_sq
         exact = threshold_point is not None
         if exact:
             t2_lo, t2_hi = predicates.d2_band(t2)
             t2_prune = predicates.prune_bound(t2, self._coord_scale)
         else:
-            t2_prune = t2
-        tiny = threshold is not None and threshold > 0.0 and t2 == 0.0
-        if tiny:
-            # Squaring a tiny positive threshold underflowed: squared
-            # distances can no longer discriminate (an object at exactly
-            # the threshold also squares to 0.0), so objects are compared
-            # unsquared below.  The nonzero t2 keeps the center's own cell
-            # traversable for the coincident-point case (d = 0 < threshold).
-            t2 = predicates.MIN_SUBNORMAL
             t2_prune = t2
         count = 0
         fast_hits = 0
@@ -506,8 +438,7 @@ class GridSearch:
         heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
         seen: Set[CellKey] = {start}
         positions = grid._positions
-        # Tiny-threshold scans compare unsquared distances; keep them scalar.
-        col = self._col if not tiny else None
+        col = self._col
         # A stop_at scan typically terminates within a handful of rows —
         # materializing whole-slice distances would forfeit that early
         # exit (measured 25x row inflation on large-N mono verification),
@@ -553,10 +484,13 @@ class GridSearch:
                                 closer = od2 < t2
                             if closer:
                                 count += 1
+                                if witnesses is not None:
+                                    witnesses.append((oid, float(od2)))
                                 if stop_at is not None and count >= stop_at:
                                     predicates.STATS.filter_hits += fast_hits
                                     return count
                         continue
+                    # Whole-slice regime (stop_at is None): no early exit.
                     rows = bucket.view()
                     bx = col.xs_np[rows]
                     by = col.ys_np[rows]
@@ -570,9 +504,8 @@ class GridSearch:
                     stats.objects_examined[kind] += examined
                     STORE_STATS.rows_scanned += examined
                     if exact:
-                        closer_mask = od2s < t2_lo
-                        n_closer = int(closer_mask.sum())
-                        unsure = _np.nonzero(~closer_mask & (od2s <= t2_hi))[0]
+                        hits = od2s < t2_lo
+                        unsure = _np.nonzero(~hits & (od2s <= t2_hi))[0]
                         n_unsure = len(unsure)
                         decided = examined - n_unsure
                         fast_hits += decided
@@ -581,201 +514,24 @@ class GridSearch:
                             STORE_STATS.exact_rows += n_unsure
                             for i in unsure.tolist():
                                 if predicates.closer_than(
-                                    center, (float(bx[i]), float(by[i])), threshold_point
-                                ):
-                                    n_closer += 1
-                        count += n_closer
-                    else:
-                        count += int((od2s < t2).sum())
-                        STORE_STATS.filter_rows += examined
-                    if stop_at is not None and count >= stop_at:
-                        predicates.STATS.filter_hits += fast_hits
-                        return stop_at
-            else:
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    if exact:
-                        od2 = dx * dx + dy * dy
-                        if od2 < t2_lo:
-                            closer = True
-                            fast_hits += 1
-                        elif od2 > t2_hi:
-                            closer = False
-                            fast_hits += 1
-                        else:
-                            closer = predicates.closer_than(
-                                center, (p.x, p.y), threshold_point
-                            )
-                    else:
-                        closer = (
-                            math.hypot(dx, dy) < threshold
-                            if tiny
-                            else dx * dx + dy * dy < t2
-                        )
-                    if closer:
-                        count += 1
-                        if stop_at is not None and count >= stop_at:
-                            predicates.STATS.filter_hits += fast_hits
-                            return count
-            ix, iy = key
-            for sx, sy in _NEIGHBOR_STEPS:
-                nkey = (ix + sx, iy + sy)
-                if 0 <= nkey[0] < n and 0 <= nkey[1] < n and nkey not in seen:
-                    seen.add(nkey)
-                    nd2 = self._cell_d2(nkey, cx, cy)
-                    if nd2 < t2_prune:
-                        heapq.heappush(heap, (nd2, nkey))
-        predicates.STATS.filter_hits += fast_hits
-        return count
-
-    def witnesses_closer_than(
-        self,
-        center: Iterable[float],
-        threshold_sq: float,
-        exclude: Iterable[ObjectId] = (),
-        category: Optional[Category] = None,
-        stop_at: Optional[int] = None,
-        kind: SearchKind = SearchKind.UNCONSTRAINED,
-        threshold_point: Optional[PointLike] = None,
-    ) -> List[Tuple[ObjectId, float]]:
-        """The witnesses strictly closer than ``sqrt(threshold_sq)``.
-
-        Identical traversal, threshold semantics, short-circuiting and
-        operation accounting as :meth:`count_closer_than` with
-        ``threshold_sq`` — but it returns ``(oid, squared_distance)`` rows
-        instead of a bare count, so the shared tick context can bank the
-        witnesses it discovers for reuse by later probes of the same tick
-        (``len(result)`` equals what ``count_closer_than`` would return).
-        ``threshold_point`` switches on the same exact adaptive
-        comparison and conservative traversal padding.
-        """
-        cx, cy = center
-        excluded = _as_excluded(exclude)
-        grid = self.grid
-        n = grid.size
-        extent = grid.extent
-        stats = self.stats
-        stats.calls[kind] += 1
-        stats.witness_probes += 1
-
-        t2 = threshold_sq
-        exact = threshold_point is not None
-        if exact:
-            t2_lo, t2_hi = predicates.d2_band(t2)
-            t2_prune = predicates.prune_bound(t2, self._coord_scale)
-        else:
-            t2_prune = t2
-        fast_hits = 0
-        out: List[Tuple[ObjectId, float]] = []
-        start = cell_key_of(extent, n, (cx, cy))
-        heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
-        seen: Set[CellKey] = {start}
-        positions = grid._positions
-
-        col = self._col
-        # Same early-exit economics as count_closer_than: short-circuiting
-        # calls walk the columns row by row instead of slicing.
-        vec = stop_at is None
-
-        while heap:
-            d2, key = heapq.heappop(heap)
-            if d2 >= t2_prune:
-                break
-            stats.cells_visited[kind] += 1
-            if col is not None:
-                for bucket in col.cell_buckets(key, category):
-                    if not vec or bucket.n < _VEC_MIN_ROWS:
-                        brows = bucket.rows
-                        oids = col.oids
-                        xs = col.xs
-                        ys = col.ys
-                        for bi in range(bucket.n):
-                            r = brows[bi]
-                            oid = oids[r]
-                            if oid in excluded:
-                                continue
-                            stats.objects_examined[kind] += 1
-                            STORE_STATS.rows_scanned += 1
-                            dx = xs[r] - cx
-                            dy = ys[r] - cy
-                            od2 = dx * dx + dy * dy
-                            if exact:
-                                if od2 < t2_lo:
-                                    closer = True
-                                    fast_hits += 1
-                                elif od2 > t2_hi:
-                                    closer = False
-                                    fast_hits += 1
-                                else:
-                                    closer = predicates.closer_than(
-                                        center,
-                                        (float(xs[r]), float(ys[r])),
-                                        threshold_point,
-                                    )
-                            else:
-                                closer = od2 < t2
-                            if closer:
-                                out.append((oid, float(od2)))
-                                if stop_at is not None and len(out) >= stop_at:
-                                    predicates.STATS.filter_hits += fast_hits
-                                    return out
-                        continue
-                    rows = bucket.view()
-                    bx = col.xs_np[rows]
-                    by = col.ys_np[rows]
-                    dxs = bx - cx
-                    dys = by - cy
-                    od2s = dxs * dxs + dys * dys
-                    skip = _excluded_slots(col, bucket, excluded) if excluded else ()
-                    if skip:
-                        od2s[skip] = math.inf
-                    examined = bucket.n - len(skip)
-                    stats.objects_examined[kind] += examined
-                    STORE_STATS.rows_scanned += examined
-                    # The vec gate above guarantees stop_at is None here,
-                    # so hits can be extracted slab-at-a-time: one fancy
-                    # gather + tolist per bucket instead of per-row numpy
-                    # scalar indexing (which costs ~1us per witness).
-                    oid_col = col.oids
-                    if exact:
-                        closer_mask = od2s < t2_lo
-                        unsure_mask = ~closer_mask & (od2s <= t2_hi)
-                        n_unsure = int(unsure_mask.sum())
-                        decided = examined - n_unsure
-                        fast_hits += decided
-                        STORE_STATS.filter_rows += decided
-                        STORE_STATS.exact_rows += n_unsure
-                        if n_unsure:
-                            # Walk candidates in slice order so the unsure
-                            # residue resolves interleaved exactly where a
-                            # scalar scan of this slice would place it.
-                            cand = _np.nonzero(closer_mask | unsure_mask)[0]
-                            for i in cand.tolist():
-                                if closer_mask[i] or predicates.closer_than(
                                     center,
                                     (float(bx[i]), float(by[i])),
                                     threshold_point,
                                 ):
-                                    out.append(
-                                        (oid_col[int(rows[i])], float(od2s[i]))
-                                    )
-                        else:
-                            hit_idx = _np.nonzero(closer_mask)[0]
-                            out.extend(
-                                zip(
-                                    (oid_col[r] for r in rows[hit_idx].tolist()),
-                                    od2s[hit_idx].tolist(),
-                                )
-                            )
+                                    hits[i] = True
                     else:
+                        hits = od2s < t2
                         STORE_STATS.filter_rows += examined
-                        hit_idx = _np.nonzero(od2s < t2)[0]
-                        out.extend(
+                    if witnesses is None:
+                        count += int(hits.sum())
+                    else:
+                        # One gather + tolist per slice instead of per-row
+                        # numpy scalar indexing (~1us per witness); slice
+                        # order is where a scalar scan would meet them.
+                        hit_idx = _np.nonzero(hits)[0]
+                        count += len(hit_idx)
+                        oid_col = col.oids
+                        witnesses.extend(
                             zip(
                                 (oid_col[r] for r in rows[hit_idx].tolist()),
                                 od2s[hit_idx].tolist(),
@@ -804,10 +560,12 @@ class GridSearch:
                     else:
                         closer = od2 < t2
                     if closer:
-                        out.append((oid, od2))
-                        if stop_at is not None and len(out) >= stop_at:
+                        count += 1
+                        if witnesses is not None:
+                            witnesses.append((oid, od2))
+                        if stop_at is not None and count >= stop_at:
                             predicates.STATS.filter_hits += fast_hits
-                            return out
+                            return count
             ix, iy = key
             for sx, sy in _NEIGHBOR_STEPS:
                 nkey = (ix + sx, iy + sy)
@@ -817,7 +575,7 @@ class GridSearch:
                     if nd2 < t2_prune:
                         heapq.heappush(heap, (nd2, nkey))
         predicates.STATS.filter_hits += fast_hits
-        return out
+        return count
 
     def iter_nearest(
         self,
@@ -955,6 +713,7 @@ class GridSearch:
         category: Optional[Category] = None,
         stop_at: Optional[int] = None,
         kind: SearchKind = SearchKind.UNCONSTRAINED,
+        witnesses: Optional[List[ObjectId]] = None,
     ) -> int:
         """``min(stop_at, |{p : d_net(center, p) < threshold}|)`` under a
         network metric — the verification probe of the network mode.
@@ -970,12 +729,12 @@ class GridSearch:
         object is refined as soon as it is found.  The count is
         order-independent, so returning as soon as it reaches
         ``stop_at`` gives exactly what the full enumeration would clamp
-        to.  The ids it counted are left in :attr:`last_witnesses`.
+        to.  When a list is passed as ``witnesses``, the id of every
+        object counted is appended to it in the order the walk met them:
+        a non-answer's witness certificate.
         """
         if metric is None:
             metric = self.metric
-        found: List[ObjectId] = []
-        self.last_witnesses = found
         if threshold <= 0.0:
             # Network distances are non-negative; strictly-below-zero
             # (or -equal-zero) witnesses cannot exist.
@@ -992,6 +751,7 @@ class GridSearch:
         locate = metric.locate
         distance_located = metric.distance_located
         loc_center = locate(center)
+        count = 0
         for key in self._cells_within(cx, cy, r2, kind):
             for oid in grid.objects_in_cell(key, category):
                 if oid in excluded:
@@ -1004,10 +764,12 @@ class GridSearch:
                     dx * dx + dy * dy <= r2
                     and distance_located(loc_center, locate(p)) < threshold
                 ):
-                    found.append(oid)
-                    if stop_at is not None and len(found) >= stop_at:
-                        return len(found)
-        return len(found)
+                    count += 1
+                    if witnesses is not None:
+                        witnesses.append(oid)
+                    if stop_at is not None and count >= stop_at:
+                        return count
+        return count
 
     # ------------------------------------------------------------------
     # Region scans
@@ -1124,17 +886,6 @@ class GridSearch:
                     for oid in grid.objects_in_cell(key, category):
                         if oid not in excluded:
                             yield oid
-
-    def any_object_in_alive(
-        self,
-        alive: AliveCellGrid,
-        category: Optional[Category] = None,
-        exclude: Iterable[ObjectId] = (),
-    ) -> bool:
-        """Whether at least one (non-excluded) object sits in an alive cell."""
-        for _ in self.objects_in_alive(alive, category, exclude):
-            return True
-        return False
 
 
 def _cell_matches(

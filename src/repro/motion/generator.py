@@ -22,7 +22,7 @@ fires every ``T`` time units.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.motion.objects import NetworkAgent

@@ -16,7 +16,7 @@ Legend (override via keyword arguments):
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.grid.alive import AliveCellGrid
 from repro.grid.index import GridIndex, ObjectId

@@ -120,10 +120,11 @@ class TestMemoEqualsCold:
                 got = ctx.witness_count(
                     search, oid, center, t2, sig, category, k
                 )
-                rows = cold.witnesses_closer_than(
-                    center, t2, exclude=sig, category=category, stop_at=k
+                rows = []
+                count = cold.count_closer_than(
+                    center, t2, exclude=sig, category=category, stop_at=k, witnesses=rows
                 )
-                assert got == len(rows)
+                assert got == count == len(rows)
             else:
                 got = ctx.nearest_excluding(search, oid, center, sig, category)
                 assert got == cold.nearest(center, exclude=sig, category=category)

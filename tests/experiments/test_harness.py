@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.harness import (
     ExperimentResult,
-    Series,
     scale_factor,
     scaled,
 )

@@ -12,13 +12,13 @@ _original_count_closer_than = GridSearch.count_closer_than
 def leq_count_closer_than(
     self,
     center,
-    threshold=None,
+    threshold_sq,
     exclude=(),
     category=None,
     stop_at=None,
     kind=SearchKind.UNCONSTRAINED,
-    threshold_sq=None,
     threshold_point=None,
+    witnesses=None,
 ):
     """``count_closer_than`` with its strict ``<`` flipped to ``<=``.
 
@@ -29,16 +29,15 @@ def leq_count_closer_than(
     refactor that lost the exact comparison path, so the decision falls
     back to the (nudged) float threshold.
     """
-    if threshold is not None:
-        threshold_sq, threshold = threshold * threshold, None
     return _original_count_closer_than(
         self,
         center,
+        math.nextafter(threshold_sq, math.inf),
         exclude=exclude,
         category=category,
         stop_at=stop_at,
         kind=kind,
-        threshold_sq=math.nextafter(threshold_sq, math.inf),
+        witnesses=witnesses,
     )
 
 

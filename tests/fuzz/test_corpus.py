@@ -11,7 +11,6 @@ import pytest
 
 from repro.fuzz.corpus import (
     DEFAULT_CORPUS_DIR,
-    Artifact,
     artifact_name,
     corpus_entries,
     load_artifact,

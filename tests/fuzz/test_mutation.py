@@ -2,12 +2,16 @@
 
 Two mutants, one per harness layer:
 
-- **Tie semantics.**  The verification primitive counts witnesses
-  *strictly* closer than the candidate-to-query distance; an equidistant
-  object must not disqualify a reverse nearest neighbor (the paper's
-  open-circle semantics).  Flipping that ``<`` to ``<=`` is the classic
+- **Tie semantics.**  The verification primitive,
+  ``GridSearch.count_closer_than``, counts witnesses *strictly* closer
+  than the candidate-to-query distance; an equidistant object must not
+  disqualify a reverse nearest neighbor (the paper's open-circle
+  semantics).  Flipping that ``<`` to ``<=`` is the classic
   off-by-an-ulp mistake, and the lattice scenarios exist precisely to
-  supply exact ties.
+  supply exact ties.  It is the one Euclidean witness probe — IGERN's
+  verifications (cold or through the shared tick context), CRNN and
+  SixPie all run it — so the mutant must reach an IGERN executor on a
+  monochromatic scenario, not only a baseline.
 - **Probe signature.**  The shared tick context carries an exclusion
   signature through every witness probe — it is both a memo-key
   component and the probe's exclusion set.  The planted mutant drops it
@@ -33,6 +37,14 @@ from repro.grid.context import SharedTickContext
 from repro.grid.search import GridSearch
 
 
+def _igern_site(name: str) -> bool:
+    """Whether a divergence site names an IGERN executor: the main query
+    ``igern`` or an extra query ``extraN``, bare (an answer divergence)
+    or with a participant suffix (an invariant site, ``igern[on]``)."""
+    executor = name.rpartition(":")[2].partition("[")[0]
+    return executor == "igern" or executor.startswith("extra")
+
+
 def test_planted_mutant_caught_shrunk_and_replayable(tmp_path, monkeypatch):
     from tests.fuzz.conftest import leq_count_closer_than
 
@@ -48,6 +60,12 @@ def test_planted_mutant_caught_shrunk_and_replayable(tmp_path, monkeypatch):
         assert not report.ok
         assert report.divergences > 0
         assert failures, "fuzzer reported divergences but surfaced no result"
+        assert any(
+            _igern_site(d.name)
+            for r in failures
+            if r.scenario.mode == "mono"
+            for d in r.divergences
+        ), "the mutant reached monochromatic scenarios only through a baseline"
 
         res = failures[0]
         outcome = shrink(res.scenario, res)

@@ -70,6 +70,7 @@ def leq_network_witness_count(
     category=None,
     stop_at=None,
     kind=SearchKind.UNCONSTRAINED,
+    witnesses=None,
 ):
     """``network_witness_count`` with its strict ``<`` made non-strict.
 
@@ -86,6 +87,7 @@ def leq_network_witness_count(
         category=category,
         stop_at=stop_at,
         kind=kind,
+        witnesses=witnesses,
     )
 
 

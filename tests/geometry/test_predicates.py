@@ -7,7 +7,6 @@ anything else Hypothesis can dream up.  The filter is allowed to change
 the cost, never the answer.
 """
 
-import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st

@@ -3,8 +3,6 @@
 import math
 import random
 
-import pytest
-
 from repro.geometry.point import dist
 from repro.geometry.rectangle import Rect
 from repro.geometry.voronoi import voronoi_cell, voronoi_neighbors

@@ -4,7 +4,6 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.bisector import bisector_halfplane

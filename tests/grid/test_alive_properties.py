@@ -1,6 +1,5 @@
 """Property-based invariants of the alive-cell tracker (hypothesis)."""
 
-import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

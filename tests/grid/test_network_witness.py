@@ -4,7 +4,9 @@
 by cell and stops as soon as its count reaches ``stop_at``.  Whatever
 order it meets objects in, it must return the clamped brute count:
 ``min(stop_at, |{p : d_net(center, p) < threshold}|)`` over the
-non-excluded objects of the probed category.
+non-excluded objects of the probed category.  The ids it hands back
+through ``witnesses`` (a non-answer's certificate) must be that many
+distinct such objects.
 """
 
 import math
@@ -92,6 +94,7 @@ def test_witness_count_equals_clamped_brute_count(
         and distance(oid) < threshold
     )
     expected = brute if stop_at is None else min(stop_at, brute)
+    found = []
     got = GridSearch(grid, metric=metric).network_witness_count(
         metric,
         center,
@@ -99,5 +102,11 @@ def test_witness_count_equals_clamped_brute_count(
         exclude=excluded,
         category=category,
         stop_at=stop_at,
+        witnesses=found,
     )
     assert got == expected
+    assert len(found) == len(set(found)) == got
+    for oid in found:
+        assert oid not in excluded
+        assert category is None or scene[oid][1] == category
+        assert distance(oid) < threshold

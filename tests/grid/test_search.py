@@ -1,12 +1,11 @@
 """Unit tests for repro.grid.search.GridSearch."""
 
 import math
-import random
 
 import pytest
 
 from repro.geometry.bisector import bisector_halfplane
-from repro.geometry.point import dist
+from repro.geometry.point import dist, dist_sq
 from repro.grid.alive import AliveCellGrid
 from repro.grid.index import GridIndex
 from repro.grid.search import GridSearch, SearchKind
@@ -106,45 +105,21 @@ class TestNearest:
         assert search.stats.total_calls == 0
 
 
-class TestKNearest:
-    def test_matches_sorted_brute_force(self, searched, rng):
-        grid, search = searched
-        q = (0.3, 0.7)
-        got = search.k_nearest(q, 5)
-        expected = sorted(
-            ((dist(grid.position(o), q), o) for o in grid.objects()),
-        )[:5]
-        assert [oid for oid, _ in got] == [o for _, o in expected]
-
-    def test_k_larger_than_population(self, rng):
-        grid = GridIndex(8)
-        grid.insert(1, (0.1, 0.1))
-        grid.insert(2, (0.9, 0.9))
-        got = GridSearch(grid).k_nearest((0.0, 0.0), 10)
-        assert [oid for oid, _ in got] == [1, 2]
-
-    def test_invalid_k(self, searched):
-        _, search = searched
-        with pytest.raises(ValueError):
-            search.k_nearest((0.5, 0.5), 0)
-
-
 class TestCountCloserThan:
     def test_matches_brute_force(self, searched, rng):
         grid, search = searched
         for _ in range(30):
             center = (rng.random(), rng.random())
             threshold = rng.random() * 0.4
+            t2 = threshold * threshold
             expected = sum(
-                1
-                for o in grid.objects()
-                if dist(grid.position(o), center) < threshold
+                1 for o in grid.objects() if dist_sq(grid.position(o), center) < t2
             )
-            assert search.count_closer_than(center, threshold) == expected
+            assert search.count_closer_than(center, t2) == expected
 
     def test_stop_at_short_circuits(self, searched):
         grid, search = searched
-        count = search.count_closer_than((0.5, 0.5), 1.5, stop_at=3)
+        count = search.count_closer_than((0.5, 0.5), 1.5 * 1.5, stop_at=3)
         assert count == 3
 
     def test_zero_threshold(self, searched):
@@ -154,29 +129,47 @@ class TestCountCloserThan:
     def test_exclusion(self, searched):
         grid, search = searched
         center = grid.position(0)
-        with_self = search.count_closer_than(center, 0.2)
-        without = search.count_closer_than(center, 0.2, exclude={0})
+        with_self = search.count_closer_than(center, 0.04)
+        without = search.count_closer_than(center, 0.04, exclude={0})
         # Object 0 sits at distance 0 < 0.2 from itself.
         assert with_self == without + 1
 
+    def test_witness_rows_match_count(self, searched):
+        grid, search = searched
+        center = (0.4, 0.6)
+        rows = []
+        count = search.count_closer_than(center, 0.09, witnesses=rows)
+        assert count == len(rows)
+        assert sorted(rows) == sorted(
+            (o, dist_sq(grid.position(o), center))
+            for o in grid.objects()
+            if dist_sq(grid.position(o), center) < 0.09
+        )
+
     def test_subnormal_threshold_exact_tie_not_counted(self):
-        """Regression: squaring a subnormal threshold underflows to 0.0,
-        at which point squared distances can't discriminate — an object
-        at *exactly* the threshold distance (whose squared distance also
+        """Regression: a subnormal threshold squares to 0.0, at which
+        point squared distances can't discriminate — an object at
+        *exactly* the threshold distance (whose squared distance also
         underflows to 0.0) was once counted as strictly closer.  The
-        degenerate path must fall back to unsquared comparison."""
+        exact mode decides the tie on the threshold point itself."""
         tiny = 2.225073858507203e-309
         grid = GridIndex(4)
         grid.insert(0, (0.0, tiny))
         search = GridSearch(grid)
-        assert search.count_closer_than((0.0, 0.0), tiny) == 0
+        assert (
+            search.count_closer_than((0.0, 0.0), tiny * tiny, threshold_point=(0.0, tiny))
+            == 0
+        )
 
     def test_subnormal_threshold_still_counts_strictly_closer(self):
         tiny = 2.225073858507203e-309
         grid = GridIndex(4)
         grid.insert(0, (0.0, tiny / 2.0))
         search = GridSearch(grid)
-        assert search.count_closer_than((0.0, 0.0), tiny) == 1
+        assert (
+            search.count_closer_than((0.0, 0.0), tiny * tiny, threshold_point=(0.0, tiny))
+            == 1
+        )
 
 
 class TestIterNearest:
@@ -188,7 +181,7 @@ class TestIterNearest:
         distances = [d for _, d in stream]
         assert distances == sorted(distances)
 
-    def test_prefix_matches_k_nearest(self, searched):
+    def test_prefix_matches_sorted_brute_force(self, searched):
         grid, search = searched
         q = (0.6, 0.2)
         stream = []
@@ -196,7 +189,8 @@ class TestIterNearest:
             stream.append(item[0])
             if len(stream) == 7:
                 break
-        assert stream == [oid for oid, _ in search.k_nearest(q, 7)]
+        expected = sorted(grid.objects(), key=lambda o: (dist_sq(grid.position(o), q), o))
+        assert stream == expected[:7]
 
     def test_exclusion_and_category(self, bi_grid):
         search = GridSearch(bi_grid)
@@ -232,9 +226,3 @@ class TestRegionScans:
         d2s = [d2 for d2, _ in out]
         assert d2s == sorted(d2s)
         assert search.stats.calls[SearchKind.BOUNDED] == 1
-
-    def test_any_object_in_alive(self, searched):
-        grid, search = searched
-        alive = self._region(grid)
-        expected = len(list(search.objects_in_alive(alive))) > 0
-        assert search.any_object_in_alive(alive) == expected

@@ -161,14 +161,23 @@ class TestKernelEquivalence:
             for i, p in enumerate(pts):
                 grid.insert(i, p)
             search = GridSearch(grid)
-            results[kind] = (
-                search.count_closer_than(q, threshold_sq=t2),
-                sorted(search.witnesses_closer_than(q, t2)),
-                search.count_closer_than(q, threshold_sq=t2, stop_at=2),
-                search.count_closer_than(
-                    q, threshold_sq=t2, threshold_point=q
-                ),
-            )
+            results[kind] = []
+            # Float and exact mode, each as a whole count (with and
+            # without witness rows) and capped at two.  Which two
+            # witnesses a capped probe meets first depends on the
+            # layout's row order, so only its count is compared.
+            for options in ({}, {"threshold_point": q}):
+                rows = []
+                count = search.count_closer_than(q, t2, **options)
+                assert search.count_closer_than(q, t2, witnesses=rows, **options) == count
+                assert len(rows) == count
+                first = []
+                capped = search.count_closer_than(
+                    q, t2, stop_at=2, witnesses=first, **options
+                )
+                assert capped == len(first) == min(2, count)
+                assert set(first) <= set(rows)
+                results[kind].append((count, sorted(rows), capped))
         assert results["columnar"] == results["mapping"]
 
     @given(grid_sizes, st.lists(point, min_size=1, max_size=80), point)
@@ -238,7 +247,9 @@ class TestCompaction:
         grid._store.check_invariants()
         search = GridSearch(grid)
         q = (0.31, 0.62)
-        got = sorted(search.witnesses_closer_than(q, 0.04))
+        got = []
+        search.count_closer_than(q, 0.04, witnesses=got)
+        got.sort()
         expected = sorted(
             (i, (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
             for i, p in enumerate(pts)

@@ -1,7 +1,5 @@
 """Unit tests for the Brinkhoff-style network generator."""
 
-import math
-
 import pytest
 
 from repro.geometry.point import dist

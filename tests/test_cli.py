@@ -264,6 +264,60 @@ class TestBench:
         assert "tick_throughput" in out
         assert "batch_throughput" not in out
 
+    def _fake_run(self, monkeypatch, failing=(), seen=None):
+        """Replace the benchmark runner: benchmarks named in ``failing``
+        fail their own assertions, the others copy their committed
+        baseline into the results directory (recorded in ``seen``)."""
+        import shutil
+
+        from repro import bench as bench_mod
+
+        def run(bench, out_dir, quick=False):
+            if seen is not None:
+                seen.append(out_dir)
+            if bench.name in failing:
+                raise RuntimeError(
+                    f"benchmark {bench.name!r} failed its own assertions:\n"
+                    "E   assert 1.2 >= 3.0"
+                )
+            out_dir.mkdir(parents=True, exist_ok=True)
+            target = out_dir / bench.result_file
+            shutil.copy(bench_mod.REPO_ROOT / bench.result_file, target)
+            return target
+
+        monkeypatch.setattr(bench_mod, "run_benchmark", run)
+
+    def test_check_keeps_measuring_after_a_failed_benchmark(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        self._fake_run(monkeypatch, failing={"tick_throughput"})
+        report = tmp_path / "report.json"
+        rc = main(
+            ["bench", "check", "tick_throughput", "lease_hold",
+             "--report", str(report)]
+        )
+        assert rc == 1
+        assert "bench check: REGRESSION" in capsys.readouterr().out
+        rows = json.loads(report.read_text())
+        failed = [r for r in rows if r["benchmark"] == "tick_throughput"]
+        measured = [r for r in rows if r["benchmark"] == "lease_hold"]
+        assert [r["status"] for r in failed] == ["regression"]
+        assert failed[0]["detail"] == (
+            "benchmark 'tick_throughput' failed its own assertions:"
+        )
+        assert measured and all(r["status"] == "ok" for r in measured)
+
+    def test_check_measures_into_results_dir(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        self._fake_run(monkeypatch, seen=seen)
+        results = tmp_path / "measured" / "here"
+        rc = main(["bench", "check", "lease_hold", "--results-dir", str(results)])
+        assert rc == 0
+        assert seen == [results]
+        assert (results / "BENCH_lease_hold.json").exists()
+
     def test_no_run_requires_results_dir(self):
         import pytest
 

@@ -16,7 +16,6 @@ promises, using the shared NN subsystem's counters:
 import pytest
 
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
-from repro.grid.search import SearchKind
 from repro.queries import CRNNQuery, IGERNMonoQuery, QueryPosition, TPLQuery
 
 

@@ -29,7 +29,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    initialize,
     invariant,
     precondition,
     rule,
@@ -476,10 +475,10 @@ class StoreLockstepMachine(RuleBasedStateMachine):
     def search_probe_identical(self):
         probes = {}
         for kind, search in self.searches.items():
-            probes[kind] = (
-                search.count_closer_than((0.4, 0.6), threshold_sq=0.09),
-                sorted(search.witnesses_closer_than((0.4, 0.6), 0.09)),
-            )
+            rows = []
+            count = search.count_closer_than((0.4, 0.6), 0.09)
+            listed = search.count_closer_than((0.4, 0.6), 0.09, witnesses=rows)
+            probes[kind] = (count, listed, sorted(rows))
         assert probes["columnar"] == probes["mapping"]
 
 
