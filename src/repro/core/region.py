@@ -176,13 +176,26 @@ class RegionCore:
         return moved
 
     def _rebuild_region(self, state: RegionState) -> None:
-        """Redraw all bisectors; only cells between q and them stay alive."""
+        """Redraw the bisectors that moved; only cells between q and them
+        stay alive.
+
+        A bisector is a deterministic function of its generating pair
+        ``(q, pos)``, so a monitored object whose pair is unchanged keeps
+        its current half-plane, found by the ``_src`` token (the identity
+        :meth:`AliveCellGrid.remove_halfplane` uses too).  Only moved
+        objects get new bisectors, and every object does when ``q``
+        moved; the list keeps the monitored order.
+        """
         q = state.qpos
-        state.alive.rebuild(
-            bisector_halfplane(q, pos)
-            for pos in state.monitored.values()
-            if pos != q
-        )
+        qx, qy = q
+        drawn = {hp._src: hp for hp in state.alive.halfplanes}
+        halfplanes = []
+        for pos in state.monitored.values():
+            if pos == q:
+                continue
+            hp = drawn.get((qx, qy, pos[0], pos[1]))
+            halfplanes.append(hp if hp is not None else bisector_halfplane(q, pos))
+        state.alive.rebuild(halfplanes)
 
     def _absorb(self, state: RegionState, oid: ObjectId, pos: Point) -> None:
         """Monitor ``oid`` at ``pos`` and clip the region by its bisector."""

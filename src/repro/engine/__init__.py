@@ -10,13 +10,14 @@ harness turns into the paper's figures.
 
 from repro.engine.batch import BatchExecutor
 from repro.engine.manager import AnswerChange, ContinuousQueryManager
-from repro.engine.metrics import QueryLog, SimulationResult, TickMetrics
+from repro.engine.metrics import QueryLog, SimulationResult, TickMetrics, TickOutcome
 from repro.engine.scheduler import TickScheduler
 from repro.engine.simulation import Simulator
 from repro.engine.workload import WorkloadSpec, build_simulator, set_default_batch
 
 __all__ = [
     "TickMetrics",
+    "TickOutcome",
     "QueryLog",
     "SimulationResult",
     "Simulator",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional
 
 from repro.engine.simulation import Simulator
@@ -128,21 +129,27 @@ class ContinuousQueryManager:
         subscription order), then global subscribers — so a query-specific
         handler can update state a global audit log then observes.
         """
-        metrics = self.simulator.step()
+        outcome = self.simulator.step()
         changes: List[AnswerChange] = []
         registry = self._registry
-        for name, m in metrics.items():
-            # A skipped tick carried the previous answer forward verbatim;
-            # no set comparison needed once the query has been announced.
-            if m.skipped and name in self._announced:
-                if m.reason == REASON_LEASE_HELD and registry is not None:
-                    # A held lease suppressed the whole subscriber
-                    # publication, not just the evaluation — the metric
-                    # the lease_hold benchmark bands on.
-                    registry.counter(
-                        "lease_publications_skipped_total", query=name
-                    ).inc()
-                continue
+        announced = self._announced
+        # A skipped tick carried the previous answer forward verbatim, so
+        # an announced skipped query needs no set comparison and its
+        # entry is never built.  Only skipped names not yet announced
+        # are read, plus lease-held skips while a registry counts them.
+        pending: List[str] = []
+        for name, reason in outcome.skipped.items():
+            if name not in announced:
+                pending.append(name)
+            elif reason == REASON_LEASE_HELD and registry is not None:
+                # A held lease suppressed the whole subscriber
+                # publication, not just the evaluation — the metric
+                # the lease_hold benchmark bands on.
+                registry.counter(
+                    "lease_publications_skipped_total", query=name
+                ).inc()
+        for name in chain(pending, outcome.evaluated):
+            m = outcome[name]
             previous = self._last_answers.get(name, frozenset())
             # A query's very first result is always announced (even when
             # empty), so subscribers learn it is live; afterwards only

@@ -10,8 +10,10 @@ search kind), which mirror the Section 6 analytical cost model.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Sequence
+from itertools import chain
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Sequence
 
 
 @dataclass
@@ -36,6 +38,81 @@ class TickMetrics:
     @property
     def answer_size(self) -> int:
         return len(self.answer)
+
+
+class TickOutcome(Mapping):
+    """What one tick did, per query: a ``Mapping[str, TickMetrics]``.
+
+    ``evaluated`` holds the metrics of the queries that ran, in dispatch
+    order; ``skipped`` maps each query the scheduler skipped to its skip
+    reason, in registration order.  Iteration yields the skipped names,
+    then the evaluated ones.
+
+    A skipped query's entry is built only when someone reads it, from
+    the query's last evaluated metrics as they stood when the tick ran
+    (``last``, a copy taken then), so a view kept across later ticks
+    still describes its own tick: the carried answer, monitored count
+    and region cells, ``wall_time`` 0, no ops, ``skipped=True``.
+    Readers that need only the work done read ``evaluated`` and
+    ``skipped`` and never pay for those entries.  Item assignment
+    replaces an entry (the fuzz harness plants wrong answers this way).
+    """
+
+    __slots__ = ("tick", "evaluated", "skipped", "_last", "_built")
+
+    def __init__(
+        self,
+        tick: int,
+        evaluated: Dict[str, TickMetrics],
+        skipped: Dict[str, str],
+        last: Dict[str, TickMetrics],
+    ):
+        self.tick = tick
+        self.evaluated = evaluated
+        self.skipped = skipped
+        self._last = last
+        self._built: Dict[str, TickMetrics] = {}
+
+    def __getitem__(self, name: str) -> TickMetrics:
+        metrics = self.evaluated.get(name)
+        if metrics is not None:
+            return metrics
+        metrics = self._built.get(name)
+        if metrics is None:
+            reason = self.skipped[name]
+            last = self._last.get(name)
+            metrics = self._built[name] = TickMetrics(
+                tick=self.tick,
+                wall_time=0.0,
+                answer=last.answer if last is not None else frozenset(),
+                monitored=last.monitored if last is not None else 0,
+                region_cells=last.region_cells if last is not None else 0,
+                ops={},
+                skipped=True,
+                reason=reason,
+            )
+        return metrics
+
+    def __setitem__(self, name: str, metrics: TickMetrics) -> None:
+        if name in self.skipped:
+            self._built[name] = metrics
+        else:
+            self.evaluated[name] = metrics
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.evaluated or name in self.skipped
+
+    def __iter__(self) -> Iterator[str]:
+        return chain(self.skipped, self.evaluated)
+
+    def __len__(self) -> int:
+        return len(self.skipped) + len(self.evaluated)
+
+    def __repr__(self) -> str:
+        return (
+            f"TickOutcome(tick={self.tick}, evaluated={list(self.evaluated)},"
+            f" skipped={self.skipped})"
+        )
 
 
 @dataclass

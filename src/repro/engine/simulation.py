@@ -14,10 +14,16 @@ import heapq
 import logging
 import math
 import time
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.engine.batch import BatchExecutor
-from repro.engine.metrics import QueryLog, SimulationResult, TickMetrics, diff_ops
+from repro.engine.metrics import (
+    QueryLog,
+    SimulationResult,
+    TickMetrics,
+    TickOutcome,
+    diff_ops,
+)
 from repro.engine.scheduler import TickScheduler
 from repro.geometry import predicates
 from repro.grid.delta import TickDelta
@@ -49,7 +55,12 @@ from repro.obs.ledger import (
     get_ledger,
     phase,
 )
-from repro.obs.metrics import MetricsRegistry, active_registry, record_ops_delta
+from repro.obs.metrics import (
+    Counter,
+    MetricsRegistry,
+    active_registry,
+    record_ops_delta,
+)
 from repro.queries.base import ContinuousQuery
 
 logger = logging.getLogger(__name__)
@@ -214,7 +225,13 @@ class Simulator:
         #: the delta (freshly resumed queries missed triggers while
         #: paused, so their footprints are stale).
         self._force_eval: set = set()
+        #: Each query's last *evaluated* metrics; a skipped tick's entry
+        #: is built from these only when read (:class:`TickOutcome`).
         self._last_metrics: Dict[str, TickMetrics] = {}
+        #: ``ticks_skipped_total`` handles per ``(query, reason)``, valid
+        #: while the registry and its generation match ``_skip_stamp``.
+        self._skip_counters: Dict[Tuple[str, str], Counter] = {}
+        self._skip_stamp: Optional[tuple] = None
         #: Running totals for quick introspection (mirrored into the
         #: metrics registry as ``queries_evaluated_total`` /
         #: ``ticks_skipped_total`` when one is active).
@@ -271,6 +288,8 @@ class Simulator:
         self._paused.discard(name)
         self._force_eval.discard(name)
         self._last_metrics.pop(name, None)
+        for key in [key for key in self._skip_counters if key[0] == name]:
+            del self._skip_counters[key]
         if self.scheduler is not None:
             self.scheduler.remove_query(name)
         logger.debug("removed query %r at tick %d", name, self.current_tick)
@@ -336,7 +355,7 @@ class Simulator:
             n_ticks=n_ticks,
         )
 
-        def record(metrics: Dict[str, TickMetrics]) -> None:
+        def record(metrics: Mapping[str, TickMetrics]) -> None:
             for name, m in metrics.items():
                 if name not in result.logs:
                     result.logs[name] = QueryLog(name=name)
@@ -355,12 +374,14 @@ class Simulator:
         result.updates = self.grid.updates - updates_before
         return result
 
-    def step(self) -> Dict[str, TickMetrics]:
+    def step(self) -> TickOutcome:
         """Advance time by one tick: apply movement, run affected queries.
 
-        Returns the fresh :class:`TickMetrics` per (non-paused) query.
-        This is the single-tick primitive behind :meth:`run`, also used
-        directly by :class:`repro.engine.manager.ContinuousQueryManager`.
+        Returns the tick's :class:`TickOutcome`, a mapping of every
+        (non-paused) query to its :class:`TickMetrics`; a skipped query's
+        entry is built only when read.  This is the single-tick primitive
+        behind :meth:`run`, also used directly by
+        :class:`repro.engine.manager.ContinuousQueryManager`.
 
         With the tick scheduler enabled, movement lands as one batched
         grid update whose :class:`TickDelta` is intersected with the
@@ -411,7 +432,7 @@ class Simulator:
             self._poison_tick()
             if flight is not None:
                 latency = clock() - t0
-                digest = self._digest(latency, {})
+                digest = self._digest(latency, None)
                 moves, inserts, removes = self._last_events or (
                     None,
                     None,
@@ -474,24 +495,20 @@ class Simulator:
         )
 
     def _digest(
-        self, latency: float, out: Dict[str, TickMetrics]
+        self, latency: float, out: Optional[TickOutcome]
     ) -> TickDigest:
-        """The flight-recorder summary of the tick just executed."""
+        """The flight-recorder summary of the tick just executed
+        (``out`` is ``None`` when the tick raised)."""
         moves, inserts, removes = self._last_events or ([], [], [])
-        n_evaluated = sum(1 for m in out.values() if not m.skipped)
+        evaluated = out.evaluated if out is not None else {}
         top = heapq.nlargest(
-            3,
-            (
-                (m.wall_time, name)
-                for name, m in out.items()
-                if not m.skipped
-            ),
+            3, ((m.wall_time, name) for name, m in evaluated.items())
         )
         return TickDigest(
             tick=self.current_tick,
             latency=latency,
-            evaluated=n_evaluated,
-            skipped=len(out) - n_evaluated,
+            evaluated=len(evaluated),
+            skipped=len(out.skipped) if out is not None else 0,
             moves=len(moves),
             inserts=len(inserts),
             removes=len(removes),
@@ -679,7 +696,7 @@ class Simulator:
         run: Optional[Set[str]] = None,
         reasons: Optional[Dict[str, str]] = None,
         lease_skips: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, TickMetrics]:
+    ) -> TickOutcome:
         """Execute every non-paused query at the current time, measured.
 
         ``run`` is the scheduler's affected-set for this tick: queries
@@ -698,6 +715,11 @@ class Simulator:
         :class:`~repro.grid.context.SharedTickContext`.  Reordering is
         answer-neutral (evaluations never mutate the grid), and skipped
         queries are unaffected — they never probe.
+
+        A skipped query costs its :meth:`skip_tick`, its reason, one
+        cached counter bump while a registry is attached, and its ledger
+        record while the ledger is recording; the returned
+        :class:`TickOutcome` builds its entry only when someone reads it.
         """
         out: Dict[str, TickMetrics] = {}
         registry = self.registry
@@ -711,26 +733,30 @@ class Simulator:
             ledger.begin_tick(self.current_tick)
             dispatch_start = self.clock()
 
-        skipped: list = []
+        skipped: Dict[str, str] = {}
         evaluated: list = []
+        paused = self._paused
+        started = self._started
+        force_eval = self._force_eval
+        footprint = scheduler.footprint if scheduler is not None else None
         for name in self._queries:
-            if name in self._paused:
+            if name in paused:
                 continue
             if (
                 lease_skips is not None
                 and name in lease_skips
-                and self._started[name]
+                and started[name]
             ):
-                skipped.append(name)
+                skipped[name] = lease_skips[name]
             elif (
                 run is not None
-                and self._started[name]
+                and started[name]
                 and name not in run
-                and name not in self._force_eval
-                and scheduler is not None
-                and scheduler.footprint(name) is not None
+                and name not in force_eval
+                and footprint is not None
+                and footprint(name) is not None
             ):
-                skipped.append(name)
+                skipped[name] = REASON_DELTA_DISJOINT
             else:
                 evaluated.append(name)
 
@@ -742,45 +768,33 @@ class Simulator:
             }
             evaluated = batch.order(evaluated, footprints)
 
-        for name in skipped:
-            query = self._queries[name]
-            last = self._last_metrics.get(name)
-            answer = query.skip_tick()
-            skip_reason = (
-                lease_skips.get(name, REASON_DELTA_DISJOINT)
-                if lease_skips is not None
-                else REASON_DELTA_DISJOINT
+        if skipped:
+            queries = self._queries
+            counters = (
+                self._skip_counter_cache(registry) if registry is not None else None
             )
-            metrics = TickMetrics(
-                tick=self.current_tick,
-                wall_time=0.0,
-                answer=frozenset(answer),
-                monitored=last.monitored if last is not None else 0,
-                region_cells=last.region_cells if last is not None else 0,
-                ops={},
-                skipped=True,
-                reason=skip_reason,
-            )
-            out[name] = metrics
-            self._last_metrics[name] = metrics
-            self.ticks_skipped += 1
-            if registry is not None:
-                registry.counter(
-                    "ticks_skipped_total",
-                    query=name,
-                    reason=skip_reason,
-                ).inc()
-            if ledger_on:
-                ledger.record(
-                    QueryTickCost(
-                        query=name,
-                        tick=self.current_tick,
-                        decision=SKIPPED,
-                        reason=skip_reason,
-                        answer_size=len(answer),
-                        monitored=metrics.monitored,
+            for name, skip_reason in skipped.items():
+                answer = queries[name].skip_tick()
+                if counters is not None:
+                    counter = counters.get((name, skip_reason))
+                    if counter is None:
+                        counter = counters[(name, skip_reason)] = registry.counter(
+                            "ticks_skipped_total", query=name, reason=skip_reason
+                        )
+                    counter.inc()
+                if ledger_on:
+                    last = self._last_metrics.get(name)
+                    ledger.record(
+                        QueryTickCost(
+                            query=name,
+                            tick=self.current_tick,
+                            decision=SKIPPED,
+                            reason=skip_reason,
+                            answer_size=len(answer),
+                            monitored=last.monitored if last is not None else 0,
+                        )
                     )
-                )
+            self.ticks_skipped += len(skipped)
 
         if ledger_on:
             # Partitioning, batch ordering, and the skip-path bookkeeping
@@ -907,7 +921,25 @@ class Simulator:
 
         if registry is not None:
             self._publish_work(registry)
-        return out
+        return TickOutcome(
+            self.current_tick, out, skipped, self._last_metrics.copy()
+        )
+
+    def _skip_counter_cache(
+        self, registry: MetricsRegistry
+    ) -> Dict[Tuple[str, str], Counter]:
+        """The ``ticks_skipped_total`` handles cached for ``registry``.
+
+        Checked once per tick: a different registry, or a cleared one
+        (its generation moved), empties the cache, so the next skip
+        re-creates its counter inside the registry as an uncached
+        lookup would.
+        """
+        stamp = (registry, registry.generation)
+        if self._skip_stamp != stamp:
+            self._skip_counters = {}
+            self._skip_stamp = stamp
+        return self._skip_counters
 
     def _publish_work(self, registry: MetricsRegistry) -> None:
         """Mirror the process-global work counters' growth since this

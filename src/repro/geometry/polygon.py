@@ -153,13 +153,17 @@ class ConvexPolygon:
 
         Vertex sidedness is decided by the exact predicate, so a vertex
         precisely on the boundary line is always kept (closed half-plane
-        semantics) regardless of coordinate magnitude.  Returns a new
-        polygon; the original is left untouched.
+        semantics) regardless of coordinate magnitude.  When no vertex is
+        strictly outside, the half-plane holds every vertex of the convex
+        polygon and so the whole polygon: ``self`` is returned (every
+        vertex is still classified, so the predicate counts do not
+        depend on it).  Otherwise a new polygon is returned; the original
+        is left untouched.
         """
         verts = self.vertices
         n = len(verts)
         if n == 0:
-            return ConvexPolygon()
+            return self
         # Inline replica of the predicates.halfplane_sign filter (same
         # arithmetic, so same decisions): clipping evaluates every vertex
         # of every polygon against every bisector, which makes this the
@@ -170,6 +174,7 @@ class ConvexPolygon:
         signs: List[int] = []
         values: List[float] = []
         fast = 0
+        cut = False
         for v in verts:
             t1 = a * v.x
             t2 = b * v.y
@@ -181,10 +186,16 @@ class ConvexPolygon:
             elif e < -band:
                 fast += 1
                 signs.append(-1)
+                cut = True
             else:
-                signs.append(predicates.halfplane_sign(hp, v.x, v.y))
+                sign = predicates.halfplane_sign(hp, v.x, v.y)
+                signs.append(sign)
+                if sign < 0:
+                    cut = True
             values.append(e)
         predicates.STATS.filter_hits += fast
+        if not cut:
+            return self
         out: List[Point] = []
         for i in range(n):
             cur, nxt = verts[i], verts[(i + 1) % n]
@@ -201,7 +212,10 @@ class ConvexPolygon:
                 out.append(
                     Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y))
                 )
-        return ConvexPolygon(_dedupe(out))
+        # Every vertex is already a float Point: skip __init__'s copy.
+        result = ConvexPolygon.__new__(ConvexPolygon)
+        result.vertices = _dedupe(out)
+        return result
 
     def bounding_rect(self) -> Optional[Rect]:
         """Axis-aligned bounding rectangle, or ``None`` if empty."""
@@ -218,6 +232,9 @@ def _dedupe(points: List[Point]) -> List[Point]:
     The merge radius is relative to the coordinate magnitudes involved:
     intersection vertices are rounded, so "duplicate" can only ever mean
     "equal up to that rounding", which scales with the coordinates.
+    The wrap-around duplicate is popped until none is left, which makes
+    the function idempotent: a polygon it produced passes through
+    unchanged, as :meth:`ConvexPolygon.clip`'s no-cut return assumes.
     """
     if not points:
         return points
@@ -231,7 +248,7 @@ def _dedupe(points: List[Point]) -> List[Point]:
     for p in points[1:]:
         if not near(p, out[-1]):
             out.append(p)
-    if len(out) > 1 and near(out[0], out[-1]):
+    while len(out) > 1 and near(out[0], out[-1]):
         out.pop()
     return out
 

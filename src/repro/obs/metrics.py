@@ -150,6 +150,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelPairs], Metric] = {}
         self._lock = threading.Lock()
+        #: Bumped by :meth:`clear`: a caller caching metric handles
+        #: re-fetches them when it changes, so it never counts into
+        #: metrics the registry no longer holds.
+        self.generation = 0
 
     def _get(self, cls, name: str, labels: Dict[str, Any], **kwargs) -> Metric:
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
@@ -193,6 +197,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -44,7 +44,10 @@ class IGERNQuery(ContinuousQuery):
         self.search.metric = self.metric
         self._algo = None
         self._state = None
-        self.last_report: Optional[StepReport] = None
+        self._last_report: Optional[StepReport] = None
+        #: Set by :meth:`skip_tick`: the next :attr:`last_report` read
+        #: returns a carried copy of the last evaluation's report.
+        self._carried = False
 
     @abc.abstractmethod
     def _lease(self):
@@ -77,9 +80,20 @@ class IGERNQuery(ContinuousQuery):
     def _publish(self, report: StepReport) -> FrozenSet[Hashable]:
         if self.lease_enabled and self.metric.euclidean:
             report.lease = self._lease()
-        self.last_report = report
+        self._last_report = report
+        self._carried = False
         self._answer = report.answer
         return report.answer
+
+    @property
+    def last_report(self) -> Optional[StepReport]:
+        """The report of the last step; after a skipped tick, a zero-ops
+        :meth:`StepReport.carried` copy, made on the first read."""
+        if self._carried:
+            self._carried = False
+            if self._last_report is not None:
+                self._last_report = self._last_report.carried()
+        return self._last_report
 
     def footprint(self) -> "QueryFootprint | None":
         """Monitored cells (alive region + witness balls) and objects
@@ -109,8 +123,7 @@ class IGERNQuery(ContinuousQuery):
         return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
 
     def skip_tick(self):
-        if self.last_report is not None:
-            self.last_report = self.last_report.carried()
+        self._carried = True
         return self._answer
 
     @property
@@ -119,9 +132,11 @@ class IGERNQuery(ContinuousQuery):
 
     @property
     def monitored_region_cells(self) -> int:
-        if self._state is None or not self.metric.euclidean:
-            return 0
-        return self._state.alive.alive_count()
+        """The ``alive_cells`` the last step's report counted from the
+        region it left (nothing changes the region between steps); 0
+        before the first step and under a network metric."""
+        report = self._last_report
+        return report.alive_cells if report is not None else 0
 
     def monitored_area(self) -> float:
         """Exact area of the monitored region as a fraction of the space

@@ -181,6 +181,9 @@ class ShardState:
             flight=False,
             ledger=False,
         )
+        #: name -> sorted answer tuple of the query's last evaluation,
+        #: which a skipped tick's reply carries.
+        self._sorted: Dict[str, Tuple[Hashable, ...]] = {}
         #: Baseline for process-global stat deltas: under the fork start
         #: method a worker inherits the parent's already-advanced
         #: singletons, so absolute snapshots would smuggle parent counts.
@@ -194,6 +197,7 @@ class ShardState:
 
     def remove_query(self, name: str) -> None:
         self.sim.remove_query(name)
+        self._sorted.pop(name, None)
 
     def pause(self, name: str) -> None:
         self.sim.pause_query(name)
@@ -241,10 +245,16 @@ class ShardState:
     # -- plumbing ------------------------------------------------------
 
     def _result(self, out) -> TickResult:
+        # Every query, every tick: a skipped one carries the sorted
+        # answer of its last evaluation, so no skipped entry is built.
+        carried = self._sorted
         answers = {
-            name: (tuple(sorted(m.answer)), m.skipped, m.reason)
-            for name, m in out.items()
+            name: (carried[name], True, reason)
+            for name, reason in out.skipped.items()
         }
+        for name, m in out.evaluated.items():
+            answer = carried[name] = tuple(sorted(m.answer))
+            answers[name] = (answer, False, m.reason)
         leases: Dict[str, Tuple[float, bool, bool]] = {}
         scheduler = self.sim.scheduler
         if scheduler is not None:

@@ -66,3 +66,49 @@ class TestBiIntrospection:
         sim.run(5)
         assert 0.0 < query.monitored_area() < 1.0
         assert query.last_report is not None
+
+
+class TestRegionCellsFromReport:
+    """``monitored_region_cells`` reads the count the step's report made
+    instead of enumerating the region again; it must still equal a fresh
+    ``alive_count()`` after initial, incremental and skipped ticks."""
+
+    def test_equals_alive_count_after_every_tick(self):
+        sim = build_simulator(
+            WorkloadSpec(n_objects=400, grid_size=16, seed=43, move_fraction=0.02)
+        )
+        queries = {}
+        for i, oid in enumerate(sorted(sim.grid.objects())[:6]):
+            query = IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, query_id=oid))
+            queries[f"q{i}"] = sim.add_query(f"q{i}", query)
+        assert all(q.monitored_region_cells == 0 for q in queries.values())
+        kinds = set()
+        out = sim.execute_queries()
+        for tick in range(10):
+            for name, query in queries.items():
+                m = out[name]
+                if m.skipped:
+                    kinds.add("skipped")
+                else:
+                    kinds.add("incremental" if tick else "initial")
+                cells = query._state.alive.alive_count()
+                assert query.monitored_region_cells == cells
+                assert m.region_cells == cells
+            out = sim.step()
+        assert kinds == {"initial", "incremental", "skipped"}
+
+    def test_zero_under_a_network_metric(self):
+        from repro.metric import NetworkMetric
+        from repro.motion.roadnet import RoadNetwork
+
+        sim = build_simulator(WorkloadSpec(n_objects=60, grid_size=8, seed=45))
+        network = RoadNetwork.grid_city(rows=5, cols=5, seed=1)
+        query = IGERNMonoQuery(
+            sim.grid,
+            QueryPosition(sim.grid, fixed=(0.5, 0.5)),
+            metric=NetworkMetric(network),
+        )
+        sim.add_query("net", query)
+        sim.run(2)
+        assert query.last_report is not None
+        assert query.monitored_region_cells == 0
