@@ -70,8 +70,10 @@ N_QUERIES = 64
 #: mid-sized monitored region.
 RADIUS = 0.15
 SPEEDUP_FLOOR = 2.0 if QUICK else 3.0
-#: Timed repeats per backend; the best run is scored.
+#: Timed rounds; each round replays both backends, and each backend is
+#: scored by its best replay.
 BEST_OF = 3
+BACKENDS = ("columnar", "mapping")
 
 
 def _make_workload(seed: int = 7):
@@ -119,7 +121,7 @@ def _run(workload, store: str):
     results = []
     start = time.perf_counter()
     for moves in script:
-        grid.apply_updates(moves, reuse_scratch=True)
+        grid.apply_updates(moves)
         for q in queries:
             count = search.count_closer_than(q, r2)
             witnesses = []
@@ -134,34 +136,44 @@ def _run(workload, store: str):
     return elapsed, results
 
 
-def _best_of(workload, store: str):
-    """Best timed run of BEST_OF identical replays, plus the columnar
-    store counter deltas of one run (deterministic per replay)."""
-    best_elapsed = None
-    results = None
-    stats = None
-    for _ in range(BEST_OF):
-        before = (
-            STORE_STATS.rows_scanned,
-            STORE_STATS.filter_rows,
-            STORE_STATS.exact_rows,
-        )
-        elapsed, results = _run(workload, store=store)
-        stats = (
-            STORE_STATS.rows_scanned - before[0],
-            STORE_STATS.filter_rows - before[1],
-            STORE_STATS.exact_rows - before[2],
-        )
-        if best_elapsed is None or elapsed < best_elapsed:
-            best_elapsed = elapsed
-    return best_elapsed, results, stats
+def _replay(workload, store: str):
+    """One timed replay, plus the columnar store counter deltas it
+    caused (deterministic per replay)."""
+    before = (
+        STORE_STATS.rows_scanned,
+        STORE_STATS.filter_rows,
+        STORE_STATS.exact_rows,
+    )
+    elapsed, results = _run(workload, store=store)
+    stats = (
+        STORE_STATS.rows_scanned - before[0],
+        STORE_STATS.filter_rows - before[1],
+        STORE_STATS.exact_rows - before[2],
+    )
+    return elapsed, results, stats
+
+
+def _alternating_best(workload):
+    """``BEST_OF`` rounds, each replaying both backends back to back and
+    alternating which goes first, so a slow host phase falls on both
+    sides of the ratio instead of on one backend's whole pass.  Returns
+    ``{store: (best_elapsed, results, stats)}``."""
+    out = {}
+    for i in range(BEST_OF):
+        for store in BACKENDS if i % 2 == 0 else BACKENDS[::-1]:
+            elapsed, results, stats = _replay(workload, store)
+            if store in out:
+                elapsed = min(elapsed, out[store][0])
+            out[store] = (elapsed, results, stats)
+    return out
 
 
 def test_large_n_throughput_and_result_identity():
     workload = _make_workload()
 
-    elapsed_col, results_col, stats_col = _best_of(workload, "columnar")
-    elapsed_map, results_map, stats_map = _best_of(workload, "mapping")
+    best = _alternating_best(workload)
+    elapsed_col, results_col, stats_col = best["columnar"]
+    elapsed_map, results_map, stats_map = best["mapping"]
 
     # Bit-identical kernel results, every query, every tick.
     assert len(results_col) == len(results_map)

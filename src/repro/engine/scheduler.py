@@ -32,6 +32,7 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.grid.delta import CellKey, TickDelta
 from repro.leases import Lease, LeaseState
+from repro.obs.ledger import REASON_FOOTPRINT_ENTER, REASON_OBJECT_MOVED
 from repro.queries.base import QueryFootprint
 
 ObjectId = Hashable
@@ -120,25 +121,28 @@ class TickScheduler:
         """All active leases by query name (live mapping, not a copy)."""
         return self._leases
 
-    def absorb_displacements(self, delta: TickDelta) -> None:
+    def absorb_displacements(
+        self, displacements: Dict[ObjectId, float], churn: bool
+    ) -> None:
         """Charge one tick's motion and churn to every active lease.
 
-        Each lease absorbs the tick's maximum data-point displacement,
-        excluding its own query object — the query's motion is governed
-        by the safe region, not the object budget.  Any insert or
-        remove breaks every lease (the slack minimum quantifies only
-        over the issue-time population).
+        ``displacements`` maps each of this tick's movers to its
+        Euclidean displacement; ``churn`` says whether anything was
+        inserted or removed.  Each lease absorbs the tick's maximum
+        displacement, excluding its own query object — the query's
+        motion is governed by the safe region, not the object budget.
+        Any insert or remove breaks every lease (the slack minimum
+        quantifies only over the issue-time population).
         """
         if not self._leases:
             return
-        churn = bool(delta.inserted or delta.removed)
         # Top two displacement magnitudes, so excluding one query object
         # is O(1) per lease instead of a rescan.
         top_oid = None
         top = 0.0
         second = 0.0
         if not churn:
-            for oid, d in delta.displacements.items():
+            for oid, d in displacements.items():
                 if d > top:
                     second = top
                     top = d
@@ -197,50 +201,18 @@ class TickScheduler:
     # ------------------------------------------------------------------
 
     def affected(self, delta: TickDelta) -> Set[str]:
-        """Names of footprinted queries this delta could affect.
+        """Names of footprinted queries this delta could affect: the key
+        set of :meth:`affected_reasons`."""
+        return set(self.affected_reasons(delta))
+
+    def affected_reasons(self, delta: TickDelta) -> Dict[str, str]:
+        """Footprinted queries this delta could affect, each with *why*
+        it matched.
 
         Queries in always-evaluate mode are *not* included — the engine
         evaluates them unconditionally; this returns only the footprint
-        hits.  Matching iterates the cheaper side: the delta's touched
-        cells against the cell index when the tick is quiet, or each
-        footprint against the delta when the tick is busy.
-        """
-        out: Set[str] = set()
-        touched = delta.touched_cells
-        cell_index = self._cell_index
-        # Total indexed footprint size, to pick the iteration side.
-        index_size = len(cell_index)
-        if len(touched) <= index_size or not self._footprints:
-            for key in touched:
-                owners = cell_index.get(key)
-                if owners is not None:
-                    out.update(owners)
-            obj_index = self._obj_index
-            for ids in (delta.moved, delta.inserted, delta.removed):
-                if len(ids) <= len(obj_index):
-                    for oid in ids:
-                        owners = obj_index.get(oid)
-                        if owners is not None:
-                            out.update(owners)
-                else:
-                    for oid, owners in obj_index.items():
-                        if oid in ids:
-                            out.update(owners)
-        else:
-            changed = delta.changed_ids()
-            for name, fp in self._footprints.items():
-                if not fp.cells.isdisjoint(touched) or not fp.objects.isdisjoint(
-                    changed
-                ):
-                    out.add(name)
-        return out
-
-    def affected_reasons(self, delta: TickDelta) -> Dict[str, str]:
-        """:meth:`affected`, but each hit carries *why* it matched.
-
-        Returns ``{query_name: reason}`` over exactly the same key set
-        :meth:`affected` would return.  Reasons are the machine-readable
-        codes of :mod:`repro.obs.ledger`:
+        hits.  Reasons are the machine-readable codes of
+        :mod:`repro.obs.ledger`:
 
         - ``footprint-enter`` — an object moved within / entered / left
           one of the query's footprint cells;
@@ -249,19 +221,15 @@ class TickScheduler:
           a footprint cell.
 
         When both apply, the cell reason wins — deterministically, so
-        ledger records are stable across runs.  This walk mirrors the
-        cheaper-side iteration of :meth:`affected` and is only invoked
-        when the cost ledger is enabled; the hot disabled path keeps the
-        set-only variant.
+        ledger records are stable across runs.  Matching iterates the
+        cheaper side: the delta's touched cells against the cell index
+        when the tick is quiet, or each footprint against the delta when
+        the tick is busy.
         """
-        from repro.obs.ledger import (
-            REASON_FOOTPRINT_ENTER,
-            REASON_OBJECT_MOVED,
-        )
-
         out: Dict[str, str] = {}
         touched = delta.touched_cells
         cell_index = self._cell_index
+        # Total indexed footprint size, to pick the iteration side.
         index_size = len(cell_index)
         if len(touched) <= index_size or not self._footprints:
             for key in touched:

@@ -409,20 +409,11 @@ class Simulator:
                 out = self.execute_queries()
             else:
                 sched_start = clock()
-                if ledger_on:
-                    # The reason-annotated matcher costs slightly more
-                    # than the set-only one, so it runs only while the
-                    # ledger is recording.
-                    reasons = self.scheduler.affected_reasons(delta)
-                    run = set(reasons)
-                else:
-                    reasons = None
-                    run = self.scheduler.affected(delta)
+                reasons = self.scheduler.affected_reasons(delta)
+                run = set(reasons)
                 lease_skips = None
                 if self.lease_mode:
-                    run, reasons, lease_skips = self._apply_leases(
-                        delta, run, reasons
-                    )
+                    lease_skips = self._apply_leases(run, reasons)
                 if ledger_on:
                     ledger.add(MATCHING, sched_start, clock())
                 out = self.execute_queries(
@@ -518,64 +509,51 @@ class Simulator:
     def _apply_movement(self) -> Optional[TickDelta]:
         """Apply one tick of generator output to the grid.
 
-        Returns the batched :class:`TickDelta` when the scheduler is on;
-        with the scheduler off the legacy per-update path runs instead
-        (returning ``None``), keeping the baseline's cost profile intact
-        for A/B comparisons.
+        The tick's ``(moves, inserts, removes)`` are read once, from the
+        generator's ``step_events`` when it has one, else from ``step``
+        (moves only).  With the scheduler on they land as one batched
+        :meth:`GridIndex.apply_updates` call whose fresh
+        :class:`TickDelta` is returned; in lease mode the movers'
+        displacements (taken before the grid moves them) and the tick's
+        churn are then charged to the active leases through
+        :meth:`TickScheduler.absorb_displacements`.  With the scheduler
+        off they are applied object by object and ``None`` is returned:
+        that path is the fuzz oracle's ingest, so the fuzz lockstep's
+        grid-sync check compares the batched path against it.
         """
-        grid = self.grid
-        if self.scheduler is not None:
-            if hasattr(self.generator, "step_events"):
-                events = self.generator.step_events(self.dt)
-                moves = events.moves
-                if self.lease_mode and not isinstance(moves, (list, tuple)):
-                    moves = list(moves)
-                self._last_events = (
-                    moves,
-                    events.inserts,
-                    events.removes,
-                )
-                disp = self._displacements(moves) if self.lease_mode else None
-                delta = grid.apply_updates(
-                    moves,
-                    inserts=events.inserts,
-                    removes=events.removes,
-                    reuse_scratch=True,
-                )
-                if disp:
-                    delta.displacements.update(disp)
-                return delta
-            updates = self.generator.step(self.dt)
-            if self.flight is not None or self.lease_mode:
-                if not isinstance(updates, list):
-                    updates = list(updates)
-            if self.flight is not None:
-                self._last_events = (updates, [], [])
-            disp = self._displacements(updates) if self.lease_mode else None
-            delta = grid.apply_updates(updates, reuse_scratch=True)
-            if disp:
-                delta.displacements.update(disp)
-            return delta
-        if hasattr(self.generator, "step_events"):
-            events = self.generator.step_events(self.dt)
-            for oid in events.removes:
-                grid.remove(oid)
-            for oid, pos, category in events.inserts:
-                grid.insert(oid, pos, category)
-            for oid, pos in events.moves:
-                grid.move(oid, pos)
+        generator = self.generator
+        if hasattr(generator, "step_events"):
+            events = generator.step_events(self.dt)
+            moves, inserts, removes = events.moves, events.inserts, events.removes
         else:
-            for oid, pos in self.generator.step(self.dt):
+            moves, inserts, removes = generator.step(self.dt), (), ()
+        grid = self.grid
+        scheduler = self.scheduler
+        if scheduler is None:
+            for oid in removes:
+                grid.remove(oid)
+            for oid, pos, category in inserts:
+                grid.insert(oid, pos, category)
+            for oid, pos in moves:
                 grid.move(oid, pos)
-        return None
+            return None
+        if not isinstance(moves, (list, tuple)):
+            moves = list(moves)
+        self._last_events = (moves, inserts, removes)
+        displacements = self._displacements(moves) if self.lease_mode else None
+        delta = grid.apply_updates(moves, inserts=inserts, removes=removes)
+        if displacements is not None:
+            scheduler.absorb_displacements(
+                displacements, bool(delta.inserted or delta.removed)
+            )
+        return delta
 
     def _displacements(self, moves) -> Dict:
         """Per-object Euclidean displacement of this tick's movers.
 
         Computed against the *pre-apply* grid positions (the vectorized
-        bulk-update path does not expose old positions), recorded onto
-        the delta only in lease mode — the scheduler charges lease
-        budgets from these magnitudes.
+        bulk-update path does not expose old positions), in lease mode
+        only — the scheduler charges lease budgets from these magnitudes.
         """
         grid = self.grid
         hypot = math.hypot
@@ -590,29 +568,24 @@ class Simulator:
                 out[oid] = hypot(dx, dy)
         return out
 
-    def _apply_leases(
-        self,
-        delta: TickDelta,
-        run: Set[str],
-        reasons: Optional[Dict[str, str]],
-    ):
-        """Intersect this tick's delta with the active safe-region leases.
+    def _apply_leases(self, run: Set[str], reasons: Dict[str, str]):
+        """Intersect this tick's matches with the active safe-region leases.
 
         Runs between the scheduler's footprint matching and the dispatch
-        partition.  Every active lease first absorbs the tick's
-        displacement/churn through :meth:`TickScheduler.absorb_displacements`;
-        then a lease that still *holds* (budget unspent, query point
-        inside the safe region — an exact test) removes its query from
-        the to-run set even when the delta touched its footprint, and
-        the skip is published under the ``lease-held`` reason.  A lease
-        that fails either check is dropped and its query forced into the
-        to-run set under ``lease-broken`` — forced, because after
-        lease-held skips of footprint-touching ticks the registered
+        partition, after :meth:`_apply_movement` charged the tick's
+        displacement/churn to every lease, and updates ``run`` and
+        ``reasons`` in place.  A lease that still *holds* (budget
+        unspent, query point inside the safe region — an exact test)
+        removes its query from the to-run set even when the delta touched
+        its footprint, and the skip is published under the ``lease-held``
+        reason, returned in the ``{name: reason}`` lease-skip map.  A
+        lease that fails either check is dropped and its query forced
+        into the to-run set under ``lease-broken`` — forced, because
+        after lease-held skips of footprint-touching ticks the registered
         footprint is stale and cannot justify a disjointness skip.
         """
         scheduler = self.scheduler
         registry = self.registry
-        scheduler.absorb_displacements(delta)
         states = scheduler.lease_states()
         lease_skips: Dict[str, str] = {}
         if states:
@@ -646,8 +619,7 @@ class Simulator:
                 else:
                     run.add(name)
                     broken.append(name)
-                    if reasons is not None:
-                        reasons[name] = REASON_LEASE_BROKEN
+                    reasons[name] = REASON_LEASE_BROKEN
                     self.leases_broken += 1
                     if registry is not None:
                         registry.counter(
@@ -655,29 +627,27 @@ class Simulator:
                         ).inc()
             for name in broken:
                 scheduler.drop_lease(name)
-        if reasons is not None:
-            # Lease-capable queries evaluated with no lease to consult
-            # get the explicit lease-none code: in lease mode, the
-            # absence of a certificate *is* why the evaluation cost was
-            # paid.
-            for name, query in self._queries.items():
-                if (
-                    name in states
-                    or name in self._paused
-                    or not getattr(query, "lease_enabled", False)
-                    or not self._started.get(name, False)
-                    or reasons.get(name) == REASON_LEASE_BROKEN
-                ):
-                    continue
-                if name in run or scheduler.footprint(name) is None:
-                    reasons[name] = REASON_LEASE_NONE
+        # Lease-capable queries evaluated with no lease to consult get
+        # the explicit lease-none code: in lease mode, the absence of a
+        # certificate *is* why the evaluation cost was paid.
+        for name, query in self._queries.items():
+            if (
+                name in states
+                or name in self._paused
+                or not getattr(query, "lease_enabled", False)
+                or not self._started.get(name, False)
+                or reasons.get(name) == REASON_LEASE_BROKEN
+            ):
+                continue
+            if name in run or scheduler.footprint(name) is None:
+                reasons[name] = REASON_LEASE_NONE
         if registry is not None:
             decided = self.leases_held + self.leases_broken
             if decided:
                 registry.gauge("lease_hold_ratio").set(
                     self.leases_held / decided
                 )
-        return run, reasons, (lease_skips or None)
+        return lease_skips or None
 
     def active_lease(self, name: str) -> Optional[LeaseState]:
         """The live lease bookkeeping for a query, if any."""

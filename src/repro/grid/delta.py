@@ -1,28 +1,24 @@
 """One tick's worth of grid changes, summarized for the scheduler.
 
 :meth:`repro.grid.index.GridIndex.apply_updates` applies a whole tick of
-movement/churn in one pass and returns a :class:`TickDelta` describing
-what changed.  The engine's :class:`repro.engine.scheduler.TickScheduler`
-intersects this record with each continuous query's relevance footprint
-to decide which queries can legally be skipped this tick.
+movement/churn in one pass and returns a :class:`TickDelta` recording
+which objects changed and which cells they touched.  The engine's
+:class:`repro.engine.scheduler.TickScheduler` intersects this record with
+each continuous query's relevance footprint to decide which queries can
+legally be skipped this tick.
 
-Two cell sets are tracked, at different granularities:
-
-- ``dirty_cells`` — the old and new cells of every *boundary-crosser*
-  plus the cells of inserts and removes: the cells whose membership
-  changed (the classic "cell change" events of Figure 5a).
-- ``touched_cells`` — every cell that held any change at all, including
-  the cell of an object that moved *within* it.  A query whose footprint
-  is disjoint from ``touched_cells`` saw no movement anywhere in its
-  monitored area; this is the conservative set the skip test uses
-  (within-cell movement can flip a verification outcome even though no
-  cell membership changed).
+``touched_cells`` holds every cell that saw any change: the cells of
+inserts and removes, and the old and new cell of every object whose
+position changed — including an object that moved *within* one cell,
+since within-cell movement can flip a verification outcome even though
+no cell membership changed.  A query whose footprint is disjoint from it
+saw no movement anywhere in its monitored area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Hashable, Set, Tuple
 
 CellKey = Tuple[int, int]
 ObjectId = Hashable
@@ -30,15 +26,7 @@ ObjectId = Hashable
 
 @dataclass
 class TickDelta:
-    """Everything that changed in the grid during one batched tick.
-
-    Engine-owned instances are *recycled*: ``GridIndex.apply_updates``
-    with ``reuse_scratch=True`` calls :meth:`recycle` between ticks, so
-    the per-cell enter/leave sets are pooled instead of reallocated every
-    tick (they dominated the dispatch glue in ``igern obs explain``).
-    Deltas returned by the default path stay plain value objects and may
-    be retained freely.
-    """
+    """Everything that changed in the grid during one batched tick."""
 
     #: Ids whose stored position actually changed (updates that re-stated
     #: an identical position are not movement).
@@ -47,91 +35,9 @@ class TickDelta:
     inserted: Set[ObjectId] = field(default_factory=set)
     #: Ids removed this tick (population churn).
     removed: Set[ObjectId] = field(default_factory=set)
-    #: Old ∪ new cells of boundary-crossers, plus insert/remove cells.
-    dirty_cells: Set[CellKey] = field(default_factory=set)
     #: Every cell holding any change, including within-cell movement.
     touched_cells: Set[CellKey] = field(default_factory=set)
-    #: Per-cell sets of objects that entered the cell this tick.
-    cell_enters: Dict[CellKey, Set[ObjectId]] = field(default_factory=dict)
-    #: Per-cell sets of objects that left the cell this tick.
-    cell_leaves: Dict[CellKey, Set[ObjectId]] = field(default_factory=dict)
-    #: Per-object Euclidean displacement of this tick's movers, recorded
-    #: by the engine (from the pre-apply positions) only when safe-region
-    #: lease accounting needs it; empty otherwise.  Drives the cheap
-    #: lease-revalidation decision: budgets are charged from these
-    #: magnitudes instead of re-evaluating the query.
-    displacements: Dict[ObjectId, float] = field(default_factory=dict)
-    #: Pool of cleared per-cell sets, refilled by :meth:`recycle`.
-    _pool: List[Set[ObjectId]] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     def changed_ids(self) -> Set[ObjectId]:
         """Every object id involved in any change this tick."""
         return self.moved | self.inserted | self.removed
-
-    def is_empty(self) -> bool:
-        """Whether nothing at all changed this tick."""
-        return not (self.moved or self.inserted or self.removed)
-
-    def recycle(self) -> None:
-        """Clear all recorded changes in place, pooling the per-cell sets
-        for reuse by subsequent :meth:`enter` / :meth:`leave` calls."""
-        pool = self._pool
-        for mapping in (self.cell_enters, self.cell_leaves):
-            for s in mapping.values():
-                s.clear()
-                pool.append(s)
-            mapping.clear()
-        self.moved.clear()
-        self.inserted.clear()
-        self.removed.clear()
-        self.dirty_cells.clear()
-        self.touched_cells.clear()
-        self.displacements.clear()
-
-    # -- construction helpers (used by GridIndex.apply_updates) ---------
-
-    def enter(self, key: CellKey, oid: ObjectId) -> None:
-        """Add to a cell's enter set, drawing fresh sets from the pool."""
-        s = self.cell_enters.get(key)
-        if s is None:
-            pool = self._pool
-            s = pool.pop() if pool else set()
-            self.cell_enters[key] = s
-        s.add(oid)
-
-    def leave(self, key: CellKey, oid: ObjectId) -> None:
-        """Add to a cell's leave set, drawing fresh sets from the pool."""
-        s = self.cell_leaves.get(key)
-        if s is None:
-            pool = self._pool
-            s = pool.pop() if pool else set()
-            self.cell_leaves[key] = s
-        s.add(oid)
-
-    def record_move(
-        self, oid: ObjectId, old_key: CellKey, new_key: CellKey
-    ) -> None:
-        """Record one position change (``old_key`` may equal ``new_key``)."""
-        self.moved.add(oid)
-        self.touched_cells.add(new_key)
-        if new_key == old_key:
-            return
-        self.touched_cells.add(old_key)
-        self.dirty_cells.add(old_key)
-        self.dirty_cells.add(new_key)
-        self.leave(old_key, oid)
-        self.enter(new_key, oid)
-
-    def record_insert(self, oid: ObjectId, key: CellKey) -> None:
-        self.inserted.add(oid)
-        self.dirty_cells.add(key)
-        self.touched_cells.add(key)
-        self.enter(key, oid)
-
-    def record_remove(self, oid: ObjectId, key: CellKey) -> None:
-        self.removed.add(oid)
-        self.dirty_cells.add(key)
-        self.touched_cells.add(key)
-        self.leave(key, oid)

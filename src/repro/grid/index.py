@@ -85,10 +85,6 @@ class GridIndex:
         # carry the paper's Figure-5a semantics, miss inserts/removes, and
         # are zeroed by :meth:`reset_counters`.
         self.mutations = 0
-        # Reusable TickDelta for reuse_scratch=True callers (the engine):
-        # per-cell enter/leave sets are pooled across ticks instead of
-        # reallocated.
-        self._scratch_delta: Optional[TickDelta] = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -152,46 +148,35 @@ class GridIndex:
         moves: Iterable[Tuple[ObjectId, Iterable[float]]],
         inserts: Iterable[Tuple[ObjectId, Iterable[float], Category]] = (),
         removes: Iterable[ObjectId] = (),
-        reuse_scratch: bool = False,
     ) -> TickDelta:
         """Apply one tick's worth of updates in a single pass.
 
         Removes are applied first, then inserts, then moves — the order
         the simulator uses for churn streams.  Counter semantics are
         identical to the equivalent sequence of :meth:`move` /
-        :meth:`insert` / :meth:`remove` calls; on top of them the returned
-        :class:`TickDelta` records which objects moved, which cells got
-        dirty (membership changes) or touched (any movement), and the
-        per-cell enter/leave sets — the raw material for the engine's
-        skip decisions.
+        :meth:`insert` / :meth:`remove` calls.  The returned
+        :class:`TickDelta` is fresh on every call: it records which
+        objects moved, were inserted or were removed, and every cell they
+        touched (the old and new cell of a mover, the cell of an insert or
+        remove) — the raw material for the engine's skip decisions.
 
         A move that restates an object's current position is applied (and
         counted as an update, like :meth:`move`) but reported as *no*
         movement: a stationary object cannot affect any query.
-
-        With ``reuse_scratch=True`` the same :class:`TickDelta` instance
-        (and its per-cell sets) is recycled across calls — callers that
-        consume the delta within the tick (the engine) skip a tickful of
-        set allocations; callers that retain deltas must keep the
-        default.
         """
-        if reuse_scratch:
-            delta = self._scratch_delta
-            if delta is None:
-                delta = self._scratch_delta = TickDelta()
-            else:
-                delta.recycle()
-        else:
-            delta = TickDelta()
+        delta = TickDelta()
         store = self._store
+        touched = delta.touched_cells
 
         for oid in removes:
             _pos, key, _category = store.remove(oid)
             self.mutations += 1
-            delta.record_remove(oid, key)
+            delta.removed.add(oid)
+            touched.add(key)
         for oid, pos, category in inserts:
             self.insert(oid, pos, category)
-            delta.record_insert(oid, store.cell_of(oid))
+            delta.inserted.add(oid)
+            touched.add(store.cell_of(oid))
 
         if not isinstance(moves, (list, tuple)):
             moves = list(moves)
@@ -204,8 +189,6 @@ class GridIndex:
             return delta
 
         moved = delta.moved
-        touched = delta.touched_cells
-        dirty = delta.dirty_cells
         n = self.size
         xmin = self._xmin
         ymin = self._ymin
@@ -248,10 +231,6 @@ class GridIndex:
                 continue
             self.cell_changes += 1
             touched.add(old_key)
-            dirty.add(old_key)
-            dirty.add(new_key)
-            delta.leave(old_key, oid)
-            delta.enter(new_key, oid)
         self.updates += n_moves
         self.mutations += n_moves
         return delta
@@ -273,19 +252,11 @@ class GridIndex:
         )
         if result is None:
             return False
-        changed_oids, touched_keys, crossers = result
+        changed_oids, touched_keys, left_keys = result
         delta.moved.update(changed_oids)
         delta.touched_cells.update(touched_keys)
-        if crossers:
-            dirty = delta.dirty_cells
-            touched = delta.touched_cells
-            for oid, old_key, new_key in crossers:
-                touched.add(old_key)
-                dirty.add(old_key)
-                dirty.add(new_key)
-                delta.leave(old_key, oid)
-                delta.enter(new_key, oid)
-            self.cell_changes += len(crossers)
+        delta.touched_cells.update(left_keys)
+        self.cell_changes += len(left_keys)
         return True
 
     # ------------------------------------------------------------------

@@ -453,12 +453,12 @@ class ColumnarStore:
         """Apply one tick's move batch through vectorized column math.
 
         ``coords`` is an ``(n, 2)`` float64 array of target positions.
-        Returns ``(changed_oids, touched_keys, crossers)`` where
-        ``crossers`` lists ``(oid, old_key, new_key)`` boundary
-        crossings, or ``None`` when the batch needs the scalar path
-        (duplicate movers — their sequential last-wins semantics do not
-        vectorize).  Raises ``KeyError`` on an unknown id, exactly like
-        the scalar path."""
+        Returns ``(changed_oids, touched_keys, left_keys)``: the ids whose
+        position changed, their new cells, and the old cell of each
+        boundary crossing (one entry per crossing).  Returns ``None`` when
+        the batch needs the scalar path (duplicate movers — their
+        sequential last-wins semantics do not vectorize).  Raises
+        ``KeyError`` on an unknown id, exactly like the scalar path."""
         np = _np
         row_of = self.row_of
         n = len(oids)
@@ -483,7 +483,7 @@ class ColumnarStore:
         crossed = (ix != self.cix_np[crows]) | (iy != self.ciy_np[crows])
         self.xs_np[crows] = cx
         self.ys_np[crows] = cy
-        crossers = []
+        left = []
         if crossed.any():
             cat_of = self._cat_of
             oid_col = self.oids
@@ -493,15 +493,15 @@ class ColumnarStore:
             for j, row in enumerate(cross_rows):
                 old_key = (self.cix[row], self.ciy[row])
                 new_key = (cross_ix[j], cross_iy[j])
-                oid = oid_col[row]
-                self._bucket_remove(old_key, cat_of[oid], row)
-                self._bucket_add(new_key, cat_of[oid], row)
+                category = cat_of[oid_col[row]]
+                self._bucket_remove(old_key, category, row)
+                self._bucket_add(new_key, category, row)
                 self.cix[row] = new_key[0]
                 self.ciy[row] = new_key[1]
-                crossers.append((oid, old_key, new_key))
+                left.append(old_key)
         changed_oids = [oids[i] for i in idx.tolist()]
         touched = set(zip(ix.tolist(), iy.tolist()))
-        return changed_oids, touched, crossers
+        return changed_oids, touched, left
 
     # -- compaction ----------------------------------------------------
 

@@ -23,6 +23,8 @@ from repro.engine.simulation import Simulator
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.geometry.point import Point
 from repro.grid.delta import TickDelta
+from repro.leases import Lease
+from repro.obs.ledger import REASON_FOOTPRINT_ENTER, REASON_OBJECT_MOVED
 from repro.queries.base import QueryFootprint, QueryPosition
 from repro.queries.brute import brute_mono_rnn
 from repro.queries.igern_bi import IGERNBiQuery
@@ -317,16 +319,13 @@ def test_removed_query_is_forgotten_by_scheduler():
 # ----------------------------------------------------------------------
 
 
-def _delta(
-    moved=(), touched=(), dirty=(), inserted=(), removed=()
-) -> TickDelta:
-    d = TickDelta()
-    d.moved.update(moved)
-    d.inserted.update(inserted)
-    d.removed.update(removed)
-    d.touched_cells.update(touched)
-    d.dirty_cells.update(dirty)
-    return d
+def _delta(moved=(), touched=(), inserted=(), removed=()) -> TickDelta:
+    return TickDelta(
+        moved=set(moved),
+        inserted=set(inserted),
+        removed=set(removed),
+        touched_cells=set(touched),
+    )
 
 
 class TestTickScheduler:
@@ -395,6 +394,132 @@ class TestTickScheduler:
         )
         sched.remove_query("q")
         assert sched.affected(_delta(moved={"a"}, touched={(1, 1)})) == set()
+
+
+def _fp(cells=(), objects=()) -> QueryFootprint:
+    return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
+
+
+class TestAffectedReasons:
+    """``affected_reasons`` is the scheduler's one matcher: both
+    iteration sides, both object-index sides, and the reason each hit
+    carries."""
+
+    #: Footprints registered by :meth:`_sched`: four indexed cells.
+    FOOTPRINTS = {
+        "cell": _fp(cells={(1, 1)}),
+        "obj": _fp(cells={(4, 4)}, objects={"v"}),
+        "both": _fp(cells={(2, 2)}, objects={"w"}),
+        "idle": _fp(cells={(7, 7)}, objects={"u"}),
+    }
+
+    def _sched(self) -> TickScheduler:
+        sched = TickScheduler()
+        for name, fp in self.FOOTPRINTS.items():
+            sched.update_footprint(name, fp)
+        # Same footprint as "cell"/"obj", but in always-evaluate mode or
+        # removed: neither may ever be reported as a footprint hit.
+        sched.update_footprint("always", _fp(cells={(1, 1)}, objects={"v"}))
+        sched.update_footprint("always", None)
+        sched.update_footprint("gone", _fp(cells={(1, 1)}, objects={"v"}))
+        sched.remove_query("gone")
+        return sched
+
+    def test_quiet_and_busy_branches_agree(self):
+        sched = self._sched()
+        filler_cells = {(10 + i, 10 + i) for i in range(10)}
+        filler_ids = {f"m{i}" for i in range(10)}
+        quiet = _delta(moved={"v", "w"}, touched={(1, 1), (2, 2)})
+        # More movers than indexed objects: the object side iterates
+        # the index instead of the ids.
+        many_movers = _delta(
+            moved={"v", "w"} | filler_ids, touched={(1, 1), (2, 2)}
+        )
+        # More touched cells than indexed cells: each footprint is
+        # tested against the delta instead.
+        busy = _delta(
+            moved={"v", "w"} | filler_ids,
+            touched={(1, 1), (2, 2)} | filler_cells,
+        )
+        assert len(quiet.touched_cells) <= 4 < len(busy.touched_cells)
+        expected = {
+            "cell": REASON_FOOTPRINT_ENTER,
+            "obj": REASON_OBJECT_MOVED,
+            "both": REASON_FOOTPRINT_ENTER,
+        }
+        for delta in (quiet, many_movers, busy):
+            assert sched.affected_reasons(delta) == expected
+            assert sched.affected(delta) == set(expected)
+
+    def test_cell_reason_wins_over_object_reason(self):
+        sched = self._sched()
+        # "both" is hit by its cell and by its object; "obj" by its
+        # object only (its cell is untouched).
+        delta = _delta(moved={"w", "v"}, touched={(2, 2), (9, 9)})
+        assert sched.affected_reasons(delta) == {
+            "both": REASON_FOOTPRINT_ENTER,
+            "obj": REASON_OBJECT_MOVED,
+        }
+        # An inserted or removed monitored object is an object hit too.
+        for delta in (_delta(inserted={"u"}), _delta(removed={"u"})):
+            assert sched.affected_reasons(delta) == {"idle": REASON_OBJECT_MOVED}
+
+    def test_always_evaluate_and_removed_queries_never_appear(self):
+        sched = self._sched()
+        filler_cells = {(10 + i, 10 + i) for i in range(10)}
+        for touched in ({(1, 1)}, {(1, 1)} | filler_cells):
+            delta = _delta(moved={"v"}, touched=touched)
+            reasons = sched.affected_reasons(delta)
+            assert "always" not in reasons and "gone" not in reasons
+            assert sched.affected(delta) == set(reasons)
+
+
+def _lease(query_oid=None) -> Lease:
+    return Lease(
+        qpos=(0.5, 0.5),
+        query_budget=1.0,
+        object_budget=10.0,
+        answer=frozenset(),
+        query_oid=query_oid,
+    )
+
+
+def _charged(displacement: float) -> float:
+    """What ``LeaseState.absorb`` adds for one tick's displacement."""
+    return displacement * (1.0 + 1e-12)
+
+
+class TestAbsorbDisplacements:
+    def _sched(self) -> TickScheduler:
+        sched = TickScheduler()
+        sched.update_lease("fixed", _lease())
+        sched.update_lease("rides-top", _lease(query_oid="a"))
+        sched.update_lease("rides-other", _lease(query_oid="c"))
+        return sched
+
+    def test_charges_largest_displacement_of_the_other_objects(self):
+        sched = self._sched()
+        sched.absorb_displacements({"a": 0.5, "b": 0.25, "c": 0.125}, False)
+        states = sched.lease_states()
+        assert states["fixed"].spent == _charged(0.5)
+        assert states["rides-other"].spent == _charged(0.5)
+        # Its own query object is the largest mover: the second largest.
+        assert states["rides-top"].spent == _charged(0.25)
+        assert not any(state.broken for state in states.values())
+
+    def test_churn_breaks_every_lease(self):
+        sched = self._sched()
+        sched.absorb_displacements({"b": 0.25}, True)
+        states = sched.lease_states()
+        assert all(state.broken for state in states.values())
+        assert all(state.spent == 0.0 for state in states.values())
+
+    def test_empty_map_charges_nothing(self):
+        sched = self._sched()
+        sched.absorb_displacements({}, False)
+        states = sched.lease_states()
+        assert all(state.spent == 0.0 for state in states.values())
+        assert not any(state.broken for state in states.values())
 
 
 def test_tickmetrics_skip_accounting():

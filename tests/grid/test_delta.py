@@ -16,39 +16,22 @@ from repro.grid.index import GridIndex
 class TestTickDelta:
     def test_empty(self):
         d = TickDelta()
-        assert d.is_empty()
         assert d.changed_ids() == set()
+        assert d.touched_cells == set()
 
-    def test_record_move_within_cell(self):
-        d = TickDelta()
-        d.record_move("a", (1, 1), (1, 1))
-        assert d.moved == {"a"}
-        assert d.touched_cells == {(1, 1)}
-        assert d.dirty_cells == set()
-        assert d.cell_enters == {} and d.cell_leaves == {}
-        assert not d.is_empty()
-
-    def test_record_move_across_cells(self):
-        d = TickDelta()
-        d.record_move("a", (1, 1), (2, 1))
-        assert d.touched_cells == {(1, 1), (2, 1)}
-        assert d.dirty_cells == {(1, 1), (2, 1)}
-        assert d.cell_leaves == {(1, 1): {"a"}}
-        assert d.cell_enters == {(2, 1): {"a"}}
-
-    def test_churn_records(self):
-        d = TickDelta()
-        d.record_insert("new", (0, 0))
-        d.record_remove("old", (3, 3))
-        assert d.inserted == {"new"} and d.removed == {"old"}
-        assert d.dirty_cells == {(0, 0), (3, 3)}
-        assert d.touched_cells == {(0, 0), (3, 3)}
-        assert d.changed_ids() == {"new", "old"}
+    def test_changed_ids_unions_moved_inserted_and_removed(self):
+        d = TickDelta(moved={"a", "b"}, inserted={"new"}, removed={"old", "a"})
+        assert d.changed_ids() == {"a", "b", "new", "old"}
+        # A fresh set: mutating it leaves the delta's own sets alone.
+        d.changed_ids().add("x")
+        assert "x" not in d.moved | d.inserted | d.removed
 
 
 class TestApplyUpdates:
     def test_matches_individual_moves(self):
-        """Same final state and counters as the per-move loop."""
+        """Same final state and counters as the per-move loop.
+
+        67 movers take the columnar store's vectorized bulk path."""
         rng = random.Random(42)
         pts = [(rng.random(), rng.random()) for _ in range(200)]
         batched = GridIndex(16)
@@ -57,11 +40,17 @@ class TestApplyUpdates:
             batched.insert(i, p, category=i % 2)
             serial.insert(i, p, category=i % 2)
         moves = [(i, (rng.random(), rng.random())) for i in range(0, 200, 3)]
+        before = {i: batched.cell_of(i) for i in range(200)}
         delta = batched.apply_updates(moves)
         crossings = sum(1 for oid, p in moves if serial.move(oid, p))
         assert batched.updates == serial.updates
-        assert batched.cell_changes == serial.cell_changes
-        assert len(delta.dirty_cells) <= 2 * crossings
+        assert batched.cell_changes == serial.cell_changes == crossings
+        assert delta.moved == {oid for oid, _ in moves}
+        assert delta.touched_cells == {
+            key
+            for oid in delta.moved
+            for key in (before[oid], batched.cell_of(oid))
+        }
         for i in range(200):
             assert batched.position(i) == serial.position(i)
             assert batched.cell_of(i) == serial.cell_of(i)
@@ -75,20 +64,24 @@ class TestApplyUpdates:
             [("wiggle", (0.31, 0.31)), ("cross", (0.9, 0.9))]
         )
         assert delta.moved == {"wiggle", "cross"}
-        assert grid.cell_key((0.3, 0.3)) in delta.touched_cells
-        assert delta.dirty_cells == {
+        assert delta.inserted == set() and delta.removed == set()
+        # The within-cell wiggle touches its cell; the crossing touches
+        # both the cell it left and the one it entered; "stay" touches
+        # nothing.
+        assert delta.touched_cells == {
+            grid.cell_key((0.3, 0.3)),
             grid.cell_key((0.6, 0.6)),
             grid.cell_key((0.9, 0.9)),
         }
-        assert delta.cell_enters == {grid.cell_key((0.9, 0.9)): {"cross"}}
-        assert delta.cell_leaves == {grid.cell_key((0.6, 0.6)): {"cross"}}
+        assert grid.cell_changes == 1
 
     def test_restated_position_counts_update_but_not_movement(self):
         grid = GridIndex(4)
         grid.insert("a", (0.5, 0.5))
         delta = grid.apply_updates([("a", (0.5, 0.5))])
         assert grid.updates == 1
-        assert delta.is_empty()
+        assert delta.changed_ids() == set()
+        assert delta.touched_cells == set()
 
     def test_churn_order_removes_then_inserts_then_moves(self):
         """An id freed by a remove can be reused by an insert same tick."""
@@ -102,7 +95,11 @@ class TestApplyUpdates:
         )
         assert grid.category("x") == "B"
         assert delta.removed == {"x"} and delta.inserted == {"x"}
-        assert grid.cell_key((0.6, 0.6)) in delta.dirty_cells
+        assert delta.touched_cells == {
+            grid.cell_key((0.1, 0.1)),
+            grid.cell_key((0.6, 0.6)),
+            grid.cell_key((0.9, 0.9)),
+        }
 
     def test_move_of_unknown_object_raises(self):
         grid = GridIndex(4)
@@ -119,7 +116,7 @@ def _batch_ticks(draw):
     """An initial population plus one tick of removes/inserts/moves.
 
     Move targets are surviving initial ids only and insert ids are fresh,
-    so every enter/leave is attributable to exactly one batched change
+    so every touched cell is attributable to exactly one batched change
     (``apply_updates`` itself also supports reuse and insert-then-move;
     those orderings are pinned by the example-based tests above).
     """
@@ -142,13 +139,6 @@ def _batch_ticks(draw):
         for j in range(n_inserts)
     ]
     return size, initial, moves, inserts, removes
-
-
-def _cell_contents(grid):
-    out = {}
-    for oid in grid.objects():
-        out.setdefault(grid.cell_of(oid), set()).add(oid)
-    return out
 
 
 class TestApplyUpdatesProperties:
@@ -176,27 +166,33 @@ class TestApplyUpdatesProperties:
             assert set(batched.objects(cat)) == set(serial.objects(cat))
 
     @given(_batch_ticks())
-    def test_delta_enters_and_leaves_match_cell_contents(self, tick):
-        """Per cell, enter/leave sets are exactly the membership diff."""
+    def test_touched_cells_are_exactly_the_changed_cells(self, tick):
+        """``touched_cells`` is exactly the cells of removed objects, the
+        cells of inserted objects, and the old and new cell of every
+        object whose position changed — the premise the scheduler's
+        footprint-disjointness skip rests on."""
         size, initial, moves, inserts, removes = tick
         grid = GridIndex(size)
         for oid, pos, cat in initial:
             grid.insert(oid, pos, category=cat)
-        before = _cell_contents(grid)
+        cells_before = {oid: grid.cell_of(oid) for oid in grid.objects()}
+        changes_before = grid.cell_changes
         delta = grid.apply_updates(moves, inserts=inserts, removes=removes)
-        after = _cell_contents(grid)
-        for key in set(before) | set(after):
-            gained = after.get(key, set()) - before.get(key, set())
-            lost = before.get(key, set()) - after.get(key, set())
-            assert delta.cell_enters.get(key, set()) == gained, key
-            assert delta.cell_leaves.get(key, set()) == lost, key
-        assert set(delta.cell_enters) | set(delta.cell_leaves) == delta.dirty_cells
-        assert delta.dirty_cells <= delta.touched_cells
         assert delta.inserted == {oid for oid, _, _ in inserts}
         assert delta.removed == set(removes)
         initial_pos = {oid: pos for oid, pos, _ in initial}
         moved_truly = {oid for oid, pos in moves if pos != initial_pos[oid]}
         assert delta.moved == moved_truly
+        expected = {cells_before[oid] for oid in removes}
+        expected |= {grid.cell_of(oid) for oid, _, _ in inserts}
+        for oid in moved_truly:
+            expected.add(cells_before[oid])
+            expected.add(grid.cell_of(oid))
+        assert delta.touched_cells == expected
+        crossings = sum(
+            1 for oid in moved_truly if grid.cell_of(oid) != cells_before[oid]
+        )
+        assert grid.cell_changes - changes_before == crossings
 
 
 class TestCategorySets:

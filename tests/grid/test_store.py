@@ -133,7 +133,6 @@ class TestBackendEquivalence:
             delta = grid.apply_updates(moves, inserts=inserts, removes=removes)
             deltas[kind] = (
                 frozenset(delta.moved),
-                frozenset(delta.dirty_cells),
                 frozenset(delta.touched_cells),
             )
             if isinstance(grid._store, ColumnarStore):

@@ -388,9 +388,11 @@ class StoreLockstepMachine(RuleBasedStateMachine):
     observationally identical at every step.
 
     Mutations arrive both one at a time (``insert``/``move``/``remove``)
-    and as ``apply_updates`` batches — the engine's path, which also
-    exercises the columnar bulk-move kernel and the per-cell delta
-    bookkeeping.  After every step the backends must agree on positions,
+    and as ``apply_updates`` batches — the engine's path, whose deltas'
+    moved ids and touched cells must agree too.  The batches stay below
+    the bulk-move threshold, so the columnar bulk-move kernel is not
+    reached here; ``tests/grid/test_delta.py`` checks it against serial
+    moves.  After every step the backends must agree on positions,
     per-cell membership and a search probe, and the columnar layout
     must pass its full internal consistency check (rows, buckets,
     slots, free list, category sets)."""
@@ -446,7 +448,6 @@ class StoreLockstepMachine(RuleBasedStateMachine):
             delta = grid.apply_updates(moves, inserts=inserts)
             deltas[kind] = (
                 frozenset(delta.moved),
-                frozenset(delta.dirty_cells),
                 frozenset(delta.touched_cells),
             )
         assert deltas["columnar"] == deltas["mapping"]
